@@ -2,13 +2,12 @@
 //! device pipeline (one fused application), plus the naive reference for
 //! scale.
 
-use convstencil::exec2d::{run_2d_applications, Exec2D};
 use convstencil::stencil2row::build_2d;
 use convstencil::tessellation::host_convstencil_2d;
-use convstencil::{VariantConfig, WeightMatrices};
+use convstencil::{try_run_applications, Exec2D, VariantConfig, WeightMatrices, D2};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use stencil_core::{fill_pseudorandom, reference, Grid2D, Kernel2D};
+use stencil_core::{fill_pseudorandom, reference, Boundary, Grid2D, Kernel2D};
 use tcu_sim::Device;
 
 fn bench_host_tessellation(c: &mut Criterion) {
@@ -33,7 +32,8 @@ fn bench_simulated_pipeline(c: &mut Criterion) {
     c.bench_function("simulated_convstencil_app_128x256", |b| {
         b.iter(|| {
             let mut dev = Device::a100();
-            run_2d_applications(&mut dev, black_box(&exec), &ext0, 1)
+            try_run_applications::<D2>(&mut dev, black_box(&exec), &ext0, 1, Boundary::Dirichlet)
+                .expect("quiet device")
         })
     });
     c.bench_function("naive_reference_step_128x256", |b| {

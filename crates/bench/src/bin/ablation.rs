@@ -8,13 +8,11 @@
 //!    plane-per-block decomposition, which re-reads each input plane
 //!    n_k times) vs the full window.
 
-use convstencil::exec2d::{run_2d_applications, Exec2D};
-use convstencil::exec3d::{run_3d_applications, Exec3D};
 use convstencil::plan::Plan2D;
-use convstencil::{ConvStencil2D, VariantConfig};
+use convstencil::{try_run_applications, ConvStencil2D, Exec2D, Exec3D, VariantConfig, D2, D3};
 use convstencil_bench::report::{banner, render_table};
 use convstencil_bench::{project_report, quick_mode};
-use stencil_core::{Grid2D, Grid3D, Shape};
+use stencil_core::{Boundary, Grid2D, Grid3D, Shape};
 use tcu_sim::{CostModel, Device, DeviceConfig};
 
 fn main() {
@@ -32,7 +30,7 @@ fn main() {
     ]];
     for t in 1..=3usize {
         let kernel = Shape::Heat2D.kernel2d().unwrap();
-        let cs = ConvStencil2D::with_fusion(kernel, t);
+        let cs = ConvStencil2D::try_with_fusion(kernel, t).expect("t <= 3 fits n_k = 7");
         let mut grid = Grid2D::new(size, size, 3);
         grid.fill_random(1);
         let steps = 6; // divisible by 1, 2, 3
@@ -79,7 +77,8 @@ fn main() {
         let mut grid = Grid2D::new(size, size, 3);
         grid.fill_random(2);
         let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet)
+            .expect("quiet device");
         let model = CostModel::new(cfg.clone());
         // Project to the paper geometry.
         let scale = (10_240.0f64 * 10_240.0) / (size * size) as f64;
@@ -121,7 +120,8 @@ fn main() {
         let mut grid = Grid3D::new(d, mn, mn, 1);
         grid.fill_random(3);
         let ext0 = exec.build_ext(&grid);
-        run_3d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet)
+            .expect("quiet device");
         let points = (d * mn * mn) as u64;
         let model = CostModel::new(cfg.clone());
         let scale = (1024.0f64.powi(3)) / points as f64;

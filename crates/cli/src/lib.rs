@@ -20,13 +20,13 @@
 //! (this is a simulator; see DESIGN.md).
 
 use convstencil::{
-    ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, Exec1D, Exec2D, Exec3D, Profile,
-    RunReport, VariantConfig,
+    ConvStencil, ConvStencilError, Dim, Profile, RunReport, VariantConfig, D1, D2, D3,
 };
 pub mod runtime_cmd;
+use convstencil_runtime::JobDim;
 pub use runtime_cmd::{main_resume, main_run, EXIT_ARTIFACT_READ};
 use std::path::PathBuf;
-use stencil_core::{Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D, Shape};
+use stencil_core::{fill_pseudorandom, Shape};
 use tcu_sim::{CostModel, DeviceConfig, LaunchStats, Trace};
 
 /// Parsed command line.
@@ -117,11 +117,7 @@ pub fn parse_args(dim: usize, argv: &[String]) -> Result<CliArgs, String> {
                 i += 1;
             }
             "--custom" => {
-                let need = match dim {
-                    1 => shape.nk(),
-                    2 => shape.nk() * shape.nk(),
-                    _ => shape.nk() * shape.nk() * shape.nk(),
-                };
+                let need = shape.nk().pow(dim as u32);
                 let vals: Result<Vec<f64>, _> = argv[i + 1..]
                     .iter()
                     .take(need)
@@ -180,10 +176,99 @@ pub fn usage(dim: usize) -> String {
     )
 }
 
-/// Cap oversized grids for simulation; the report is projected back to the
-/// requested problem (same per-point event rates, exact step count).
-fn cap(requested: usize, cap_to: usize) -> usize {
-    requested.min(cap_to)
+/// Work that is generic over the dimension. [`on_dim`] is the one place
+/// the CLI turns a dimensionality into a [`Dim`] marker.
+pub(crate) trait DimOp {
+    type Out;
+    fn call<D: JobDim>(self) -> Self::Out;
+}
+
+pub(crate) fn on_dim<O: DimOp>(dim: usize, op: O) -> O::Out {
+    match dim {
+        1 => op.call::<D1>(),
+        2 => op.call::<D2>(),
+        _ => op.call::<D3>(),
+    }
+}
+
+/// The benchmark kernel of `shape`, or `custom` weights over its support.
+pub(crate) fn shape_kernel<D: Dim>(
+    shape: Shape,
+    custom: &Option<Vec<f64>>,
+) -> Result<D::Kernel, ConvStencilError> {
+    match custom {
+        Some(w) => Ok(D::new_kernel(shape.radius(), w.clone())),
+        None => D::shape_kernel(shape).ok_or_else(|| ConvStencilError::InvalidKernel {
+            reason: format!("shape {} has no {}D kernel", shape.name(), D::N),
+        }),
+    }
+}
+
+/// A pseudo-random grid (seed 42) whose halo is the kernel radius.
+pub(crate) fn random_grid<D: Dim>(extents: &[usize], kernel: &D::Kernel) -> D::Grid {
+    let mut grid = D::new_grid(extents, D::radius(kernel));
+    fill_pseudorandom(D::padded_mut(&mut grid), 42);
+    grid
+}
+
+/// The variants a run or check covers: all of Fig. 6 under
+/// `--breakdown`, else ConvStencil alone.
+fn variants(args: &CliArgs) -> Vec<(&'static str, VariantConfig)> {
+    if args.breakdown {
+        VariantConfig::breakdown().to_vec()
+    } else {
+        vec![("ConvStencil", VariantConfig::conv_stencil())]
+    }
+}
+
+/// One measured run of one variant.
+struct RunVariant<'a> {
+    args: &'a CliArgs,
+    sizes: &'a [usize],
+    variant: VariantConfig,
+    tracing: bool,
+    steps: usize,
+}
+
+impl DimOp for RunVariant<'_> {
+    type Out = Result<RunReport, ConvStencilError>;
+
+    fn call<D: JobDim>(self) -> Self::Out {
+        let kernel = shape_kernel::<D>(self.args.shape, &self.args.custom_weights)?;
+        let grid = random_grid::<D>(self.sizes, &kernel);
+        let (_, report) = ConvStencil::<D>::try_new(kernel)?
+            .with_variant(self.variant)
+            .with_tracing(self.tracing)
+            .with_sanitizer(self.args.sanitize)
+            .try_run(&grid, self.steps)?;
+        Ok(report)
+    }
+}
+
+/// Static verification of one variant's plan; the inner result is the
+/// verifier's verdict.
+struct CheckVariant<'a> {
+    args: &'a CliArgs,
+    variant: VariantConfig,
+}
+
+impl DimOp for CheckVariant<'_> {
+    type Out = Result<Result<(), ConvStencilError>, ConvStencilError>;
+
+    fn call<D: JobDim>(self) -> Self::Out {
+        let kernel = shape_kernel::<D>(self.args.shape, &self.args.custom_weights)?;
+        let mut exec = D::try_exec(&kernel, &self.args.sizes, self.variant)?;
+        if self.args.mutate_lut {
+            D::corrupt_lut(&mut exec);
+        }
+        Ok(D::verify(&exec))
+    }
+}
+
+/// The paper-format time line. Modelled times of small runs are well
+/// under a millisecond, so the value keeps six decimals.
+fn time_line(seconds: f64) -> String {
+    format!("Time = {:.6}[ms]", seconds * 1e3)
 }
 
 fn project_gstencils(
@@ -209,12 +294,6 @@ fn project_gstencils(
     (total, g)
 }
 
-/// [`try_run_and_print`] that panics on pipeline errors (kept for callers
-/// that predate the typed error surface).
-pub fn run_and_print(args: &CliArgs) -> f64 {
-    try_run_and_print(args).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Run one configuration and print the artifact-format output. Returns
 /// the modelled GStencils/s, or a typed error for any pipeline failure
 /// (bad kernel, zero-sized grid, device fault, ...).
@@ -228,20 +307,24 @@ pub fn try_run_and_print(args: &CliArgs) -> Result<f64, ConvStencilError> {
 pub fn try_run_and_print_checked(args: &CliArgs) -> Result<(f64, bool), ConvStencilError> {
     let cfg = DeviceConfig::a100();
     let dim = args.shape.dim();
-    let max_side: usize = match (dim, args.quick) {
-        (1, true) => 1 << 20,
-        (1, false) => 1 << 23,
-        (2, true) => 512,
-        (2, false) => 2048,
-        (_, true) => 128,
-        (_, false) => 256,
+    // Oversized grids are capped for simulation; the report is projected
+    // back to the requested problem (same per-point event rates, exact
+    // step count).
+    let caps: &[usize] = match (dim, args.quick) {
+        (1, true) => &[1 << 26],
+        (1, false) => &[1 << 29],
+        (2, true) => &[512, 512],
+        (2, false) => &[2048, 2048],
+        (_, true) => &[32, 128, 128],
+        (_, false) => &[64, 256, 256],
     };
+    let sizes: Vec<usize> = args
+        .sizes
+        .iter()
+        .zip(caps)
+        .map(|(&s, &c)| s.min(c))
+        .collect();
     let steps_sim = args.steps.clamp(1, 6);
-    let variants: Vec<(&str, VariantConfig)> = if args.breakdown {
-        VariantConfig::breakdown().to_vec()
-    } else {
-        vec![("ConvStencil", VariantConfig::conv_stencil())]
-    };
     println!(
         "INFO: shape = {}, {}, times = {}",
         args.shape.cli_name(),
@@ -260,68 +343,22 @@ pub fn try_run_and_print_checked(args: &CliArgs) -> Result<(f64, bool), ConvSten
     let mut merged_trace = Trace::new();
     let mut last = 0.0;
     let mut sanitize_clean = true;
-    for (name, variant) in variants {
-        let missing_kernel = || ConvStencilError::InvalidKernel {
-            reason: format!("shape {} has no {dim}D kernel", args.shape.name()),
+    for (name, variant) in variants(args) {
+        let run = RunVariant {
+            args,
+            sizes: &sizes,
+            variant,
+            tracing,
+            steps: steps_sim,
         };
-        let report = match dim {
-            1 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel1D::new(w.clone()),
-                    None => args.shape.kernel1d().ok_or_else(missing_kernel)?,
-                };
-                let n = cap(args.sizes[0], max_side * 64);
-                let mut g = Grid1D::new(n, kernel.radius());
-                g.fill_random(42);
-                ConvStencil1D::try_new(kernel)?
-                    .with_variant(variant)
-                    .with_tracing(tracing)
-                    .with_sanitizer(args.sanitize)
-                    .try_run(&g, steps_sim)?
-                    .1
-            }
-            2 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel2D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel2d().ok_or_else(missing_kernel)?,
-                };
-                let (m, n) = (cap(args.sizes[0], max_side), cap(args.sizes[1], max_side));
-                let mut g = Grid2D::new(m, n, kernel.radius());
-                g.fill_random(42);
-                ConvStencil2D::try_new(kernel)?
-                    .with_variant(variant)
-                    .with_tracing(tracing)
-                    .with_sanitizer(args.sanitize)
-                    .try_run(&g, steps_sim)?
-                    .1
-            }
-            _ => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel3D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel3d().ok_or_else(missing_kernel)?,
-                };
-                let (d, m, n) = (
-                    cap(args.sizes[0], max_side / 4),
-                    cap(args.sizes[1], max_side),
-                    cap(args.sizes[2], max_side),
-                );
-                let mut g = Grid3D::new(d, m, n, kernel.radius());
-                g.fill_random(42);
-                ConvStencil3D::try_new(kernel)?
-                    .with_variant(variant)
-                    .with_tracing(tracing)
-                    .with_sanitizer(args.sanitize)
-                    .try_run(&g, steps_sim)?
-                    .1
-            }
-        };
+        let report = on_dim(dim, run)?;
         let (time, gstencils) = project_gstencils(&report, &cfg, points, args.steps as u64);
         if args.breakdown {
             println!("{name}:");
         } else {
             println!("ConvStencil({dim}D):");
         }
-        println!("Time = {:.0}[ms]", time * 1e3);
+        println!("{}", time_line(time));
         println!("GStencil/s = {gstencils:.6}");
         if let Some(san) = &report.sanitizer {
             let load_replays: u64 = san.load_conflicts.iter().sum();
@@ -375,58 +412,9 @@ pub fn try_run_and_print_checked(args: &CliArgs) -> Result<(f64, bool), ConvSten
 /// exit nonzero). With `--mutate-lut` one lookup-table entry is
 /// corrupted first — the negative control demonstrating rejection.
 pub fn try_run_check(args: &CliArgs) -> Result<bool, ConvStencilError> {
-    let dim = args.shape.dim();
-    let variants: Vec<(&str, VariantConfig)> = if args.breakdown {
-        VariantConfig::breakdown().to_vec()
-    } else {
-        vec![("ConvStencil", VariantConfig::conv_stencil())]
-    };
-    let missing_kernel = || ConvStencilError::InvalidKernel {
-        reason: format!("shape {} has no {dim}D kernel", args.shape.name()),
-    };
     let mut all_ok = true;
-    for (name, variant) in variants {
-        let result = match dim {
-            1 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel1D::new(w.clone()),
-                    None => args.shape.kernel1d().ok_or_else(missing_kernel)?,
-                };
-                let mut exec = Exec1D::try_new(&kernel, args.sizes[0], variant)?;
-                if args.mutate_lut {
-                    exec.lut_mut()[0] = [1, 1];
-                }
-                exec.verify()
-            }
-            2 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel2D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel2d().ok_or_else(missing_kernel)?,
-                };
-                let mut exec = Exec2D::try_new(&kernel, args.sizes[0], args.sizes[1], variant)?;
-                if args.mutate_lut {
-                    exec.lut_mut().set(0, 0, [1, 1]);
-                }
-                exec.verify()
-            }
-            _ => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel3D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel3d().ok_or_else(missing_kernel)?,
-                };
-                let mut exec = Exec3D::try_new(
-                    &kernel,
-                    args.sizes[0],
-                    args.sizes[1],
-                    args.sizes[2],
-                    variant,
-                )?;
-                if args.mutate_lut {
-                    exec.lut_mut().set(0, 0, [1, 1]);
-                }
-                exec.verify()
-            }
-        };
+    for (name, variant) in variants(args) {
+        let result = on_dim(args.shape.dim(), CheckVariant { args, variant })?;
         match result {
             Ok(()) => println!(
                 "[check] {name}: plan verified (LUT total + injective, dirty bits \
@@ -552,9 +540,8 @@ mod tests {
         assert!(!try_run_check(&bad).unwrap());
     }
 
-    #[test]
-    fn run_small_2d() {
-        let a = CliArgs {
+    fn small_2d_args() -> CliArgs {
+        CliArgs {
             shape: Shape::Box2D9P,
             sizes: vec![128, 128],
             steps: 3,
@@ -566,9 +553,38 @@ mod tests {
             sanitize: false,
             check: false,
             mutate_lut: false,
-        };
-        let g = run_and_print(&a);
+        }
+    }
+
+    #[test]
+    fn run_small_2d() {
+        let g = try_run_and_print(&small_2d_args()).unwrap();
         assert!(g > 0.0);
+    }
+
+    #[test]
+    fn small_2d_run_prints_a_nonzero_time() {
+        let a = small_2d_args();
+        let run = RunVariant {
+            args: &a,
+            sizes: &a.sizes,
+            variant: VariantConfig::conv_stencil(),
+            tracing: false,
+            steps: a.steps,
+        };
+        let report = on_dim(2, run).unwrap();
+        let (time, _) = project_gstencils(&report, &DeviceConfig::a100(), 128 * 128, 3);
+        assert!(
+            time > 0.0 && time < 1e-3,
+            "expected a sub-millisecond run: {time} s"
+        );
+        let line = time_line(time);
+        let ms: f64 = line
+            .strip_prefix("Time = ")
+            .and_then(|v| v.strip_suffix("[ms]"))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("malformed time line {line:?}"));
+        assert!(ms > 0.0, "{line}");
     }
 
     #[test]
@@ -601,17 +617,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");
         let a = CliArgs {
-            shape: Shape::Box2D9P,
-            sizes: vec![128, 128],
-            steps: 3,
-            custom_weights: None,
-            breakdown: false,
-            quick: true,
             profile: true,
             trace: Some(path.clone()),
-            sanitize: false,
-            check: false,
-            mutate_lut: false,
+            ..small_2d_args()
         };
         let g = try_run_and_print(&a).unwrap();
         assert!(g > 0.0);

@@ -10,10 +10,11 @@
 //! message — scripts can match `error=artifact_read`). Corrupt
 //! checkpoints never panic.
 
-use convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError};
-use convstencil_runtime::{Job, JobEvent, JobOutcome, JobPayload, Runtime, RuntimeConfig};
+use crate::{on_dim, random_grid, shape_kernel, DimOp};
+use convstencil::{ConvStencil, ConvStencilError};
+use convstencil_runtime::{Job, JobDim, JobEvent, JobOutcome, JobPayload, Runtime, RuntimeConfig};
 use std::path::PathBuf;
-use stencil_core::{Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D, Shape};
+use stencil_core::Shape;
 use tcu_sim::FaultPlan;
 
 /// Exit code for corrupt/unreadable checkpoint state.
@@ -180,11 +181,7 @@ pub fn parse_run(dim: usize, argv: &[String]) -> Result<RunCmd, String> {
                 i += 1;
             }
             "--custom" => {
-                let need = match dim {
-                    1 => shape.nk(),
-                    2 => shape.nk() * shape.nk(),
-                    _ => shape.nk() * shape.nk() * shape.nk(),
-                };
+                let need = shape.nk().pow(dim as u32);
                 let vals: Result<Vec<f64>, _> = argv[i + 1..]
                     .iter()
                     .take(need)
@@ -271,12 +268,7 @@ pub fn parse_resume(dim: usize, argv: &[String]) -> Result<ResumeCmd, String> {
 }
 
 fn build_payload(cmd: &RunCmd) -> Result<JobPayload, ConvStencilError> {
-    let dim = cmd.shape.dim();
-    let missing_kernel = || ConvStencilError::InvalidKernel {
-        reason: format!("shape {} has no {dim}D kernel", cmd.shape.name()),
-    };
-    let cap = |requested: usize, cap_to: usize| requested.min(cap_to);
-    let max_side: usize = match (dim, cmd.quick) {
+    let max_side: usize = match (cmd.shape.dim(), cmd.quick) {
         (1, true) => 1 << 16,
         (1, false) => 1 << 20,
         (2, true) => 256,
@@ -284,44 +276,24 @@ fn build_payload(cmd: &RunCmd) -> Result<JobPayload, ConvStencilError> {
         (_, true) => 64,
         (_, false) => 128,
     };
-    match dim {
-        1 => {
-            let kernel = match &cmd.custom_weights {
-                Some(w) => Kernel1D::new(w.clone()),
-                None => cmd.shape.kernel1d().ok_or_else(missing_kernel)?,
-            };
-            let n = cap(cmd.sizes[0], max_side);
-            let mut grid = Grid1D::new(n, kernel.radius());
-            grid.fill_random(42);
-            let runner = ConvStencil1D::try_new(kernel)?.with_sanitizer(cmd.sanitize);
-            Ok(JobPayload::D1 { runner, grid })
-        }
-        2 => {
-            let kernel = match &cmd.custom_weights {
-                Some(w) => Kernel2D::new(cmd.shape.radius(), w.clone()),
-                None => cmd.shape.kernel2d().ok_or_else(missing_kernel)?,
-            };
-            let (m, n) = (cap(cmd.sizes[0], max_side), cap(cmd.sizes[1], max_side));
-            let mut grid = Grid2D::new(m, n, kernel.radius());
-            grid.fill_random(42);
-            let runner = ConvStencil2D::try_new(kernel)?.with_sanitizer(cmd.sanitize);
-            Ok(JobPayload::D2 { runner, grid })
-        }
-        _ => {
-            let kernel = match &cmd.custom_weights {
-                Some(w) => Kernel3D::new(cmd.shape.radius(), w.clone()),
-                None => cmd.shape.kernel3d().ok_or_else(missing_kernel)?,
-            };
-            let (d, m, n) = (
-                cap(cmd.sizes[0], max_side),
-                cap(cmd.sizes[1], max_side),
-                cap(cmd.sizes[2], max_side),
-            );
-            let mut grid = Grid3D::new(d, m, n, kernel.radius());
-            grid.fill_random(42);
-            let runner = ConvStencil3D::try_new(kernel)?.with_sanitizer(cmd.sanitize);
-            Ok(JobPayload::D3 { runner, grid })
-        }
+    let sizes: Vec<usize> = cmd.sizes.iter().map(|&s| s.min(max_side)).collect();
+    on_dim(cmd.shape.dim(), BuildPayload { cmd, sizes: &sizes })
+}
+
+/// A job payload for `cmd` on capped extents.
+struct BuildPayload<'a> {
+    cmd: &'a RunCmd,
+    sizes: &'a [usize],
+}
+
+impl DimOp for BuildPayload<'_> {
+    type Out = Result<JobPayload, ConvStencilError>;
+
+    fn call<D: JobDim>(self) -> Self::Out {
+        let kernel = shape_kernel::<D>(self.cmd.shape, &self.cmd.custom_weights)?;
+        let grid = random_grid::<D>(self.sizes, &kernel);
+        let runner = ConvStencil::<D>::try_new(kernel)?.with_sanitizer(self.cmd.sanitize);
+        Ok(D::payload(runner, grid))
     }
 }
 

@@ -12,19 +12,13 @@
 //! Steps not divisible by the fusion degree run their remainder through a
 //! smaller fused kernel, so any step count is supported exactly.
 
+use crate::dim::{try_run_applications, Dim, D1, D2, D3};
 use crate::error::ConvStencilError;
-use crate::exec1d::{try_run_1d_applications_bc, Exec1D};
-use crate::exec2d::{try_run_2d_applications_bc, Exec2D};
-use crate::exec3d::{try_run_3d_applications_bc, Exec3D};
 use crate::variants::VariantConfig;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::time::Instant;
-use stencil_core::reference::{run1d, run2d, run3d};
-use stencil_core::{
-    auto_fusion_degree, check_close, fuse1d, fuse2d, run1d_periodic, run2d_periodic,
-    run3d_periodic, Boundary, Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D, VerifyError,
-    DEFAULT_TOL,
-};
+use stencil_core::{auto_fusion_degree, check_close, Boundary, VerifyError, DEFAULT_TOL};
 use tcu_sim::{
     CostBreakdown, CostModel, Counters, Device, DeviceConfig, FaultPlan, LaunchStats, Phase,
     SanitizerReport, Span, Trace,
@@ -202,11 +196,13 @@ pub fn check_samples(got: &[f64], want: &[f64], cfg: &VerifyConfig) -> Result<()
     Ok(())
 }
 
-/// 2D ConvStencil runner.
+/// ConvStencil runner for any dimensionality ([`D1`], [`D2`], [`D3`]);
+/// usually named through [`ConvStencil1D`], [`ConvStencil2D`] and
+/// [`ConvStencil3D`].
 #[derive(Debug, Clone)]
-pub struct ConvStencil2D {
-    kernel: Kernel2D,
-    fused: Kernel2D,
+pub struct ConvStencil<D: Dim> {
+    kernel: D::Kernel,
+    fused: D::Kernel,
     fusion: usize,
     variant: VariantConfig,
     device: DeviceConfig,
@@ -217,41 +213,37 @@ pub struct ConvStencil2D {
     pooling: bool,
 }
 
-impl ConvStencil2D {
-    /// Build with automatic temporal fusion up to n_k = 7.
-    pub fn new(kernel: Kernel2D) -> Self {
-        let fusion = auto_fusion_degree(kernel.radius(), MAX_NK);
-        Self::with_fusion(kernel, fusion)
+/// 1D ConvStencil runner.
+pub type ConvStencil1D = ConvStencil<D1>;
+/// 2D ConvStencil runner.
+pub type ConvStencil2D = ConvStencil<D2>;
+/// 3D ConvStencil runner (§4.2 — no temporal fusion, see [`Dim::FUSES`]).
+pub type ConvStencil3D = ConvStencil<D3>;
+
+impl<D: Dim> ConvStencil<D> {
+    /// [`ConvStencil::try_new`] that panics on an unsupported kernel.
+    pub fn new(kernel: D::Kernel) -> Self {
+        Self::try_new(kernel).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`ConvStencil2D::new`].
+    /// Build with automatic temporal fusion up to n_k = 7 (1D/2D; 3D runs
+    /// unfused).
     #[must_use = "the runner is the only handle to the planned pipeline; check the Err for why planning failed"]
-    pub fn try_new(kernel: Kernel2D) -> Result<Self, ConvStencilError> {
-        let fusion = auto_fusion_degree(kernel.radius(), MAX_NK);
+    pub fn try_new(kernel: D::Kernel) -> Result<Self, ConvStencilError> {
+        let fusion = if D::FUSES {
+            auto_fusion_degree(D::radius(&kernel), MAX_NK)
+        } else {
+            1
+        };
         Self::try_with_fusion(kernel, fusion)
     }
 
-    /// Build with an explicit fusion degree (1 = none).
-    pub fn with_fusion(kernel: Kernel2D, fusion: usize) -> Self {
-        Self::try_with_fusion(kernel, fusion).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ConvStencil2D::with_fusion`].
+    /// Build with an explicit fusion degree (1 = none; the only degree 3D
+    /// accepts).
     #[must_use = "the runner is the only handle to the planned pipeline; check the Err for why planning failed"]
-    pub fn try_with_fusion(kernel: Kernel2D, fusion: usize) -> Result<Self, ConvStencilError> {
-        if fusion < 1 {
-            return Err(ConvStencilError::PlanInvariant {
-                reason: "fusion degree must be >= 1".to_string(),
-            });
-        }
-        if 2 * kernel.radius() * fusion >= MAX_NK {
-            return Err(ConvStencilError::FusionTooDeep {
-                radius: kernel.radius(),
-                fusion,
-                max_nk: MAX_NK,
-            });
-        }
-        let fused = fuse2d(&kernel, fusion);
+    pub fn try_with_fusion(kernel: D::Kernel, fusion: usize) -> Result<Self, ConvStencilError> {
+        D::validate(&kernel, fusion)?;
+        let fused = D::fuse(&kernel, fusion);
         Ok(Self {
             kernel,
             fused,
@@ -288,9 +280,8 @@ impl ConvStencil2D {
     }
 
     /// Inject deterministic faults (see [`FaultPlan`]) into every device
-    /// this runner creates. Combine with
-    /// [`ConvStencil2D::try_run_verified`] to detect and recover from
-    /// them.
+    /// this runner creates. Combine with [`ConvStencil::try_run_verified`]
+    /// to detect and recover from them.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -323,17 +314,18 @@ impl ConvStencil2D {
         self
     }
 
-    /// The automatic (or requested) fusion degree.
+    /// The automatic (or requested) fusion degree; always 1 in 3D.
     pub fn fusion(&self) -> usize {
         self.fusion
     }
 
     /// The kernel actually executed per application.
-    pub fn fused_kernel(&self) -> &Kernel2D {
+    pub fn fused_kernel(&self) -> &D::Kernel {
         &self.fused
     }
 
-    pub fn base_kernel(&self) -> &Kernel2D {
+    /// The unfused kernel this runner was planned from.
+    pub fn base_kernel(&self) -> &D::Kernel {
         &self.kernel
     }
 
@@ -359,29 +351,41 @@ impl ConvStencil2D {
 
     /// Advance `steps` on a caller-owned device; counters accumulate on
     /// that device's ledger. Grid-shape validation matches
-    /// [`ConvStencil2D::try_run`]; the device pool's job loop drives pool
+    /// [`ConvStencil::try_run`]; the device pool's job loop drives pool
     /// slots through this entry point so one device can serve many chunks
     /// and jobs.
     #[must_use = "dropping the result discards the advanced grid and any error"]
     pub fn try_run_on_device(
         &self,
         dev: &mut Device,
-        grid: &Grid2D,
+        grid: &D::Grid,
         steps: usize,
-    ) -> Result<Grid2D, ConvStencilError> {
-        let (m, n) = (grid.rows(), grid.cols());
-        if m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![m, n] });
-        }
+    ) -> Result<D::Grid, ConvStencilError> {
+        points::<D>(grid)?;
         self.try_run_on(dev, grid, steps)
     }
 
     /// CPU ground truth for `steps` time steps, mirroring the device
-    /// decomposition exactly (same fusion split, same frozen-halo
-    /// semantics). Public as the runtime's degrade-to-reference backend.
+    /// decomposition exactly: the same fusion split and the same
+    /// frozen-halo semantics per application (periodic boundaries wrap
+    /// instead, where fusion is exact). Public as the runtime's
+    /// degrade-to-reference backend.
     #[must_use = "the reference result is the whole point of calling this"]
-    pub fn run_reference(&self, grid: &Grid2D, steps: usize) -> Grid2D {
-        self.reference_run(grid, steps)
+    pub fn run_reference(&self, grid: &D::Grid, steps: usize) -> D::Grid {
+        if self.boundary == Boundary::Periodic {
+            return D::reference_periodic(grid, &self.kernel, steps);
+        }
+        let mut current = Cow::Borrowed(grid);
+        for (kernel, apps) in self.applications(steps) {
+            current = Cow::Owned(D::reference(&current, &kernel, apps));
+        }
+        current.into_owned()
+    }
+
+    /// [`ConvStencil::try_run`] that panics on error.
+    #[must_use = "dropping the result discards the advanced grid and the run report"]
+    pub fn run(&self, grid: &D::Grid, steps: usize) -> (D::Grid, RunReport) {
+        self.try_run(grid, steps).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Advance `steps` time steps; returns the result grid and the report.
@@ -389,33 +393,17 @@ impl ConvStencil2D {
     /// Kernel fusion is a Tensor-Core densification technique (§3.3,
     /// Fig. 4), so the CUDA-core breakdown variants (I/II) run unfused —
     /// fusing would only inflate their FLOP count.
-    #[must_use = "dropping the result discards the advanced grid and the run report"]
-    pub fn run(&self, grid: &Grid2D, steps: usize) -> (Grid2D, RunReport) {
-        self.try_run(grid, steps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ConvStencil2D::run`].
     #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
     pub fn try_run(
         &self,
-        grid: &Grid2D,
+        grid: &D::Grid,
         steps: usize,
-    ) -> Result<(Grid2D, RunReport), ConvStencilError> {
-        let (m, n) = (grid.rows(), grid.cols());
-        if m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![m, n] });
-        }
+    ) -> Result<(D::Grid, RunReport), ConvStencilError> {
+        let points = points::<D>(grid)?;
         let mut dev = self.make_device();
-        let current = self.try_run_on(&mut dev, grid, steps)?;
-        let report = RunReport::from_device(&mut dev, (m * n) as u64, steps as u64);
-        Ok((current, report))
-    }
-
-    /// [`ConvStencil2D::try_run_verified`] that panics on error.
-    #[must_use = "dropping the result discards the advanced grid and the run report"]
-    pub fn run_verified(&self, grid: &Grid2D, steps: usize) -> (Grid2D, RunReport) {
-        self.try_run_verified(grid, steps)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let out = self.try_run_on(&mut dev, grid, steps)?;
+        let report = RunReport::from_device(&mut dev, points, steps as u64);
+        Ok((out, report))
     }
 
     /// Verified execution with the default [`VerifyConfig`]: the simulated
@@ -426,9 +414,9 @@ impl ConvStencil2D {
     #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
     pub fn try_run_verified(
         &self,
-        grid: &Grid2D,
+        grid: &D::Grid,
         steps: usize,
-    ) -> Result<(Grid2D, RunReport), ConvStencilError> {
+    ) -> Result<(D::Grid, RunReport), ConvStencilError> {
         self.try_run_verified_with(grid, steps, VerifyConfig::default())
     }
 
@@ -436,17 +424,14 @@ impl ConvStencil2D {
     #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
     pub fn try_run_verified_with(
         &self,
-        grid: &Grid2D,
+        grid: &D::Grid,
         steps: usize,
         cfg: VerifyConfig,
-    ) -> Result<(Grid2D, RunReport), ConvStencilError> {
-        let (m, n) = (grid.rows(), grid.cols());
-        if m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![m, n] });
-        }
+    ) -> Result<(D::Grid, RunReport), ConvStencilError> {
+        let points = points::<D>(grid)?;
         let reference_start = Instant::now();
-        let reference = self.reference_run(grid, steps);
-        let want = reference.interior();
+        let reference = self.run_reference(grid, steps);
+        let want = D::interior(&reference);
         let reference_ns = reference_start.elapsed().as_nanos() as u64;
         let mut dev = self.make_device();
         push_host_span(&mut dev, Phase::Verify, reference_ns);
@@ -461,691 +446,7 @@ impl ConvStencil2D {
             match self.try_run_on(&mut dev, grid, steps) {
                 Ok(out) => {
                     let check_start = Instant::now();
-                    let check = check_samples(&out.interior(), &want, &cfg);
-                    push_host_span(
-                        &mut dev,
-                        Phase::Verify,
-                        check_start.elapsed().as_nanos() as u64,
-                    );
-                    match check {
-                        Ok(()) => {
-                            let mut report =
-                                RunReport::from_device(&mut dev, (m * n) as u64, steps as u64);
-                            report.verified = true;
-                            report.faults_detected = detected;
-                            report.retries = retries;
-                            return Ok((out, report));
-                        }
-                        Err(_) => detected += 1,
-                    }
-                }
-                Err(ConvStencilError::Device(_)) => detected += 1,
-                Err(other) => return Err(other),
-            }
-        }
-        let mut report = RunReport::from_device(&mut dev, (m * n) as u64, steps as u64);
-        report.verified = true;
-        report.faults_detected = detected;
-        report.retries = retries;
-        report.degraded = true;
-        Ok((reference, report))
-    }
-
-    fn make_device(&self) -> Device {
-        let mut dev = Device::new(self.device.clone());
-        dev.set_fault_plan(self.fault);
-        dev.set_tracing(self.tracing);
-        dev.set_sanitizer(self.sanitize);
-        dev.set_scratch_pooling(self.pooling);
-        dev
-    }
-
-    /// One full run on an existing device (counters accumulate).
-    fn try_run_on(
-        &self,
-        dev: &mut Device,
-        grid: &Grid2D,
-        steps: usize,
-    ) -> Result<Grid2D, ConvStencilError> {
-        let mut current = grid.clone();
-        let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
-        let fused = if fusion == self.fusion {
-            self.fused.clone()
-        } else {
-            self.kernel.clone()
-        };
-        let full_apps = steps / fusion;
-        let remainder = steps % fusion;
-        if full_apps > 0 {
-            current = self.try_run_apps(dev, &current, &fused, full_apps)?;
-        }
-        if remainder > 0 {
-            let rem_kernel = fuse2d(&self.kernel, remainder);
-            current = self.try_run_apps(dev, &current, &rem_kernel, 1)?;
-        }
-        Ok(current)
-    }
-
-    /// CPU ground truth mirroring the device decomposition exactly: the
-    /// same fusion split and the same frozen-halo semantics per
-    /// application (periodic boundaries wrap instead, where fusion is
-    /// exact).
-    fn reference_run(&self, grid: &Grid2D, steps: usize) -> Grid2D {
-        if self.boundary == Boundary::Periodic {
-            return run2d_periodic(grid, &self.kernel, steps);
-        }
-        let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
-        let fused = if fusion == self.fusion {
-            self.fused.clone()
-        } else {
-            self.kernel.clone()
-        };
-        let full_apps = steps / fusion;
-        let remainder = steps % fusion;
-        let mut current = grid.clone();
-        if full_apps > 0 {
-            current = self.reference_apps(&current, &fused, full_apps);
-        }
-        if remainder > 0 {
-            let rem_kernel = fuse2d(&self.kernel, remainder);
-            current = self.reference_apps(&current, &rem_kernel, 1);
-        }
-        current
-    }
-
-    fn reference_apps(&self, grid: &Grid2D, kernel: &Kernel2D, apps: usize) -> Grid2D {
-        let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
-        } else {
-            grid.with_halo(kernel.radius())
-        };
-        let res = run2d(&work, kernel, apps);
-        let mut out = grid.clone();
-        for x in 0..grid.rows() {
-            for y in 0..grid.cols() {
-                out.set(x, y, res.get(x, y));
-            }
-        }
-        out
-    }
-
-    fn try_run_apps(
-        &self,
-        dev: &mut Device,
-        grid: &Grid2D,
-        kernel: &Kernel2D,
-        apps: usize,
-    ) -> Result<Grid2D, ConvStencilError> {
-        let exec = Exec2D::try_new(kernel, grid.rows(), grid.cols(), self.variant)?;
-        if self.sanitize {
-            verify_statically(dev, || exec.verify())?;
-        }
-        let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
-        } else {
-            grid.with_halo(kernel.radius())
-        };
-        let ext0 = exec.plan.try_build_ext(&work)?;
-        let ext = try_run_2d_applications_bc(dev, &exec, &ext0, apps, self.boundary)?;
-        let mut out = grid.clone();
-        exec.plan.extract_into(&ext, &mut out);
-        Ok(out)
-    }
-}
-
-/// 1D ConvStencil runner.
-#[derive(Debug, Clone)]
-pub struct ConvStencil1D {
-    kernel: Kernel1D,
-    fused: Kernel1D,
-    fusion: usize,
-    variant: VariantConfig,
-    device: DeviceConfig,
-    boundary: Boundary,
-    fault: Option<FaultPlan>,
-    tracing: bool,
-    sanitize: bool,
-    pooling: bool,
-}
-
-impl ConvStencil1D {
-    pub fn new(kernel: Kernel1D) -> Self {
-        let fusion = auto_fusion_degree(kernel.radius(), MAX_NK);
-        Self::with_fusion(kernel, fusion)
-    }
-
-    /// Fallible twin of [`ConvStencil1D::new`].
-    #[must_use = "the runner is the only handle to the planned pipeline; check the Err for why planning failed"]
-    pub fn try_new(kernel: Kernel1D) -> Result<Self, ConvStencilError> {
-        let fusion = auto_fusion_degree(kernel.radius(), MAX_NK);
-        Self::try_with_fusion(kernel, fusion)
-    }
-
-    pub fn with_fusion(kernel: Kernel1D, fusion: usize) -> Self {
-        Self::try_with_fusion(kernel, fusion).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ConvStencil1D::with_fusion`].
-    #[must_use = "the runner is the only handle to the planned pipeline; check the Err for why planning failed"]
-    pub fn try_with_fusion(kernel: Kernel1D, fusion: usize) -> Result<Self, ConvStencilError> {
-        if fusion < 1 {
-            return Err(ConvStencilError::PlanInvariant {
-                reason: "fusion degree must be >= 1".to_string(),
-            });
-        }
-        if 2 * kernel.radius() * fusion >= MAX_NK {
-            return Err(ConvStencilError::FusionTooDeep {
-                radius: kernel.radius(),
-                fusion,
-                max_nk: MAX_NK,
-            });
-        }
-        let fused = fuse1d(&kernel, fusion);
-        Ok(Self {
-            kernel,
-            fused,
-            fusion,
-            variant: VariantConfig::conv_stencil(),
-            device: DeviceConfig::a100(),
-            boundary: Boundary::Dirichlet,
-            fault: None,
-            tracing: false,
-            sanitize: false,
-            pooling: true,
-        })
-    }
-
-    /// Choose the boundary condition (see [`ConvStencil2D::with_boundary`]).
-    pub fn with_boundary(mut self, boundary: Boundary) -> Self {
-        self.boundary = boundary;
-        self
-    }
-
-    pub fn with_variant(mut self, variant: VariantConfig) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    pub fn with_device(mut self, device: DeviceConfig) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// Inject deterministic faults into every device this runner creates.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Enable per-phase span tracing (see [`ConvStencil2D::with_tracing`]).
-    pub fn with_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Enable the stencil sanitizer (see
-    /// [`ConvStencil2D::with_sanitizer`]).
-    pub fn with_sanitizer(mut self, on: bool) -> Self {
-        self.sanitize = on;
-        self
-    }
-
-    /// Toggle scratch pooling (see [`ConvStencil2D::with_scratch_pooling`]).
-    pub fn with_scratch_pooling(mut self, on: bool) -> Self {
-        self.pooling = on;
-        self
-    }
-
-    pub fn fusion(&self) -> usize {
-        self.fusion
-    }
-
-    pub fn fused_kernel(&self) -> &Kernel1D {
-        &self.fused
-    }
-
-    /// The unfused kernel this runner was planned from.
-    pub fn base_kernel(&self) -> &Kernel1D {
-        &self.kernel
-    }
-
-    /// The optimization variant this runner executes.
-    pub fn variant(&self) -> VariantConfig {
-        self.variant
-    }
-
-    /// The configured boundary condition.
-    pub fn boundary(&self) -> Boundary {
-        self.boundary
-    }
-
-    /// Build a pool-slot device (see [`ConvStencil2D::pool_device`]).
-    pub fn pool_device(&self, fault: Option<FaultPlan>) -> Device {
-        let mut dev = self.make_device();
-        dev.set_fault_plan(fault);
-        dev
-    }
-
-    /// Advance `steps` on a caller-owned device (see
-    /// [`ConvStencil2D::try_run_on_device`]).
-    #[must_use = "dropping the result discards the advanced grid and any error"]
-    pub fn try_run_on_device(
-        &self,
-        dev: &mut Device,
-        grid: &Grid1D,
-        steps: usize,
-    ) -> Result<Grid1D, ConvStencilError> {
-        let n = grid.len();
-        if n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![n] });
-        }
-        self.try_run_on(dev, grid, steps)
-    }
-
-    /// CPU ground truth mirroring the device decomposition (see
-    /// [`ConvStencil2D::run_reference`]).
-    #[must_use = "the reference result is the whole point of calling this"]
-    pub fn run_reference(&self, grid: &Grid1D, steps: usize) -> Grid1D {
-        self.reference_run(grid, steps)
-    }
-
-    /// Advance `steps` time steps (see [`ConvStencil2D::run`] on fusion
-    /// and CUDA-core variants).
-    #[must_use = "dropping the result discards the advanced grid and the run report"]
-    pub fn run(&self, grid: &Grid1D, steps: usize) -> (Grid1D, RunReport) {
-        self.try_run(grid, steps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ConvStencil1D::run`].
-    #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
-    pub fn try_run(
-        &self,
-        grid: &Grid1D,
-        steps: usize,
-    ) -> Result<(Grid1D, RunReport), ConvStencilError> {
-        let n = grid.len();
-        if n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![n] });
-        }
-        let mut dev = self.make_device();
-        let current = self.try_run_on(&mut dev, grid, steps)?;
-        let report = RunReport::from_device(&mut dev, n as u64, steps as u64);
-        Ok((current, report))
-    }
-
-    /// [`ConvStencil1D::try_run_verified`] that panics on error.
-    #[must_use = "dropping the result discards the advanced grid and the run report"]
-    pub fn run_verified(&self, grid: &Grid1D, steps: usize) -> (Grid1D, RunReport) {
-        self.try_run_verified(grid, steps)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Verified execution (see [`ConvStencil2D::try_run_verified`]).
-    #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
-    pub fn try_run_verified(
-        &self,
-        grid: &Grid1D,
-        steps: usize,
-    ) -> Result<(Grid1D, RunReport), ConvStencilError> {
-        self.try_run_verified_with(grid, steps, VerifyConfig::default())
-    }
-
-    /// Verified execution with an explicit [`VerifyConfig`].
-    #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
-    pub fn try_run_verified_with(
-        &self,
-        grid: &Grid1D,
-        steps: usize,
-        cfg: VerifyConfig,
-    ) -> Result<(Grid1D, RunReport), ConvStencilError> {
-        let n = grid.len();
-        if n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![n] });
-        }
-        let reference_start = Instant::now();
-        let reference = self.reference_run(grid, steps);
-        let want = reference.interior();
-        let reference_ns = reference_start.elapsed().as_nanos() as u64;
-        let mut dev = self.make_device();
-        push_host_span(&mut dev, Phase::Verify, reference_ns);
-        let mut detected = 0u64;
-        let mut retries = 0u64;
-        for attempt in 0..=cfg.max_retries {
-            if attempt > 0 {
-                dev.advance_fault_epoch();
-                retries += 1;
-                push_host_span(&mut dev, Phase::Retry, 0);
-            }
-            match self.try_run_on(&mut dev, grid, steps) {
-                Ok(out) => {
-                    let check_start = Instant::now();
-                    let check = check_samples(&out.interior(), &want, &cfg);
-                    push_host_span(
-                        &mut dev,
-                        Phase::Verify,
-                        check_start.elapsed().as_nanos() as u64,
-                    );
-                    match check {
-                        Ok(()) => {
-                            let mut report =
-                                RunReport::from_device(&mut dev, n as u64, steps as u64);
-                            report.verified = true;
-                            report.faults_detected = detected;
-                            report.retries = retries;
-                            return Ok((out, report));
-                        }
-                        Err(_) => detected += 1,
-                    }
-                }
-                Err(ConvStencilError::Device(_)) => detected += 1,
-                Err(other) => return Err(other),
-            }
-        }
-        let mut report = RunReport::from_device(&mut dev, n as u64, steps as u64);
-        report.verified = true;
-        report.faults_detected = detected;
-        report.retries = retries;
-        report.degraded = true;
-        Ok((reference, report))
-    }
-
-    fn make_device(&self) -> Device {
-        let mut dev = Device::new(self.device.clone());
-        dev.set_fault_plan(self.fault);
-        dev.set_tracing(self.tracing);
-        dev.set_sanitizer(self.sanitize);
-        dev.set_scratch_pooling(self.pooling);
-        dev
-    }
-
-    fn try_run_on(
-        &self,
-        dev: &mut Device,
-        grid: &Grid1D,
-        steps: usize,
-    ) -> Result<Grid1D, ConvStencilError> {
-        let mut current = grid.clone();
-        let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
-        let fused = if fusion == self.fusion {
-            self.fused.clone()
-        } else {
-            self.kernel.clone()
-        };
-        let full_apps = steps / fusion;
-        let remainder = steps % fusion;
-        if full_apps > 0 {
-            current = self.try_run_apps(dev, &current, &fused, full_apps)?;
-        }
-        if remainder > 0 {
-            let rem_kernel = fuse1d(&self.kernel, remainder);
-            current = self.try_run_apps(dev, &current, &rem_kernel, 1)?;
-        }
-        Ok(current)
-    }
-
-    /// CPU ground truth mirroring the device decomposition (see
-    /// [`ConvStencil2D::reference_run`]).
-    fn reference_run(&self, grid: &Grid1D, steps: usize) -> Grid1D {
-        if self.boundary == Boundary::Periodic {
-            return run1d_periodic(grid, &self.kernel, steps);
-        }
-        let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
-        let fused = if fusion == self.fusion {
-            self.fused.clone()
-        } else {
-            self.kernel.clone()
-        };
-        let full_apps = steps / fusion;
-        let remainder = steps % fusion;
-        let mut current = grid.clone();
-        if full_apps > 0 {
-            current = self.reference_apps(&current, &fused, full_apps);
-        }
-        if remainder > 0 {
-            let rem_kernel = fuse1d(&self.kernel, remainder);
-            current = self.reference_apps(&current, &rem_kernel, 1);
-        }
-        current
-    }
-
-    fn reference_apps(&self, grid: &Grid1D, kernel: &Kernel1D, apps: usize) -> Grid1D {
-        let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
-        } else {
-            grid.with_halo(kernel.radius())
-        };
-        let res = run1d(&work, kernel, apps);
-        let mut out = grid.clone();
-        for i in 0..grid.len() {
-            out.set(i, res.get(i));
-        }
-        out
-    }
-
-    fn try_run_apps(
-        &self,
-        dev: &mut Device,
-        grid: &Grid1D,
-        kernel: &Kernel1D,
-        apps: usize,
-    ) -> Result<Grid1D, ConvStencilError> {
-        let exec = Exec1D::try_new(kernel, grid.len(), self.variant)?;
-        if self.sanitize {
-            verify_statically(dev, || exec.verify())?;
-        }
-        let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
-        } else {
-            grid.with_halo(kernel.radius())
-        };
-        let ext0 = exec.plan.try_build_ext(&work)?;
-        let ext = try_run_1d_applications_bc(dev, &exec, &ext0, apps, self.boundary)?;
-        let mut out = grid.clone();
-        exec.plan.extract_into(&ext, &mut out);
-        Ok(out)
-    }
-}
-
-/// 3D ConvStencil runner (§4.2 — no temporal fusion: fusing a 3D kernel
-/// grows the number of planes *and* the per-plane cost, so the paper's
-/// fusion applies to 1D/2D only).
-#[derive(Debug, Clone)]
-pub struct ConvStencil3D {
-    kernel: Kernel3D,
-    variant: VariantConfig,
-    device: DeviceConfig,
-    boundary: Boundary,
-    fault: Option<FaultPlan>,
-    tracing: bool,
-    sanitize: bool,
-    pooling: bool,
-}
-
-impl ConvStencil3D {
-    pub fn new(kernel: Kernel3D) -> Self {
-        Self::try_new(kernel).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ConvStencil3D::new`].
-    #[must_use = "the runner is the only handle to the planned pipeline; check the Err for why planning failed"]
-    pub fn try_new(kernel: Kernel3D) -> Result<Self, ConvStencilError> {
-        if kernel.nk() > MAX_NK {
-            return Err(ConvStencilError::UnsupportedNk { nk: kernel.nk() });
-        }
-        Ok(Self {
-            kernel,
-            variant: VariantConfig::conv_stencil(),
-            device: DeviceConfig::a100(),
-            boundary: Boundary::Dirichlet,
-            fault: None,
-            tracing: false,
-            sanitize: false,
-            pooling: true,
-        })
-    }
-
-    /// Choose the boundary condition (see [`ConvStencil2D::with_boundary`]).
-    pub fn with_boundary(mut self, boundary: Boundary) -> Self {
-        self.boundary = boundary;
-        self
-    }
-
-    pub fn with_variant(mut self, variant: VariantConfig) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    pub fn with_device(mut self, device: DeviceConfig) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// Inject deterministic faults into every device this runner creates.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Enable per-phase span tracing (see [`ConvStencil2D::with_tracing`]).
-    pub fn with_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Enable the stencil sanitizer (see
-    /// [`ConvStencil2D::with_sanitizer`]).
-    pub fn with_sanitizer(mut self, on: bool) -> Self {
-        self.sanitize = on;
-        self
-    }
-
-    /// Toggle scratch pooling (see [`ConvStencil2D::with_scratch_pooling`]).
-    pub fn with_scratch_pooling(mut self, on: bool) -> Self {
-        self.pooling = on;
-        self
-    }
-
-    /// The kernel this runner was planned from (3D has no fusion, so the
-    /// planned and executed kernels coincide).
-    pub fn base_kernel(&self) -> &Kernel3D {
-        &self.kernel
-    }
-
-    /// The optimization variant this runner executes.
-    pub fn variant(&self) -> VariantConfig {
-        self.variant
-    }
-
-    /// The configured boundary condition.
-    pub fn boundary(&self) -> Boundary {
-        self.boundary
-    }
-
-    /// Build a pool-slot device (see [`ConvStencil2D::pool_device`]).
-    pub fn pool_device(&self, fault: Option<FaultPlan>) -> Device {
-        let mut dev = self.make_device();
-        dev.set_fault_plan(fault);
-        dev
-    }
-
-    /// Advance `steps` on a caller-owned device (see
-    /// [`ConvStencil2D::try_run_on_device`]).
-    #[must_use = "dropping the result discards the advanced grid and any error"]
-    pub fn try_run_on_device(
-        &self,
-        dev: &mut Device,
-        grid: &Grid3D,
-        steps: usize,
-    ) -> Result<Grid3D, ConvStencilError> {
-        let (d, m, n) = (grid.depth(), grid.rows(), grid.cols());
-        if d == 0 || m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid {
-                dims: vec![d, m, n],
-            });
-        }
-        self.try_run_on(dev, grid, steps)
-    }
-
-    /// CPU ground truth (see [`ConvStencil2D::run_reference`]).
-    #[must_use = "the reference result is the whole point of calling this"]
-    pub fn run_reference(&self, grid: &Grid3D, steps: usize) -> Grid3D {
-        self.reference_run(grid, steps)
-    }
-
-    #[must_use = "dropping the result discards the advanced grid and the run report"]
-    pub fn run(&self, grid: &Grid3D, steps: usize) -> (Grid3D, RunReport) {
-        self.try_run(grid, steps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ConvStencil3D::run`].
-    #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
-    pub fn try_run(
-        &self,
-        grid: &Grid3D,
-        steps: usize,
-    ) -> Result<(Grid3D, RunReport), ConvStencilError> {
-        let (d, m, n) = (grid.depth(), grid.rows(), grid.cols());
-        if d == 0 || m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid {
-                dims: vec![d, m, n],
-            });
-        }
-        let mut dev = self.make_device();
-        let out = self.try_run_on(&mut dev, grid, steps)?;
-        let report = RunReport::from_device(&mut dev, (d * m * n) as u64, steps as u64);
-        Ok((out, report))
-    }
-
-    /// [`ConvStencil3D::try_run_verified`] that panics on error.
-    #[must_use = "dropping the result discards the advanced grid and the run report"]
-    pub fn run_verified(&self, grid: &Grid3D, steps: usize) -> (Grid3D, RunReport) {
-        self.try_run_verified(grid, steps)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Verified execution (see [`ConvStencil2D::try_run_verified`]).
-    #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
-    pub fn try_run_verified(
-        &self,
-        grid: &Grid3D,
-        steps: usize,
-    ) -> Result<(Grid3D, RunReport), ConvStencilError> {
-        self.try_run_verified_with(grid, steps, VerifyConfig::default())
-    }
-
-    /// Verified execution with an explicit [`VerifyConfig`].
-    #[must_use = "dropping the result discards the advanced grid, the run report, and any error"]
-    pub fn try_run_verified_with(
-        &self,
-        grid: &Grid3D,
-        steps: usize,
-        cfg: VerifyConfig,
-    ) -> Result<(Grid3D, RunReport), ConvStencilError> {
-        let (d, m, n) = (grid.depth(), grid.rows(), grid.cols());
-        if d == 0 || m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid {
-                dims: vec![d, m, n],
-            });
-        }
-        let points = (d * m * n) as u64;
-        let reference_start = Instant::now();
-        let reference = self.reference_run(grid, steps);
-        let want = reference.interior();
-        let reference_ns = reference_start.elapsed().as_nanos() as u64;
-        let mut dev = self.make_device();
-        push_host_span(&mut dev, Phase::Verify, reference_ns);
-        let mut detected = 0u64;
-        let mut retries = 0u64;
-        for attempt in 0..=cfg.max_retries {
-            if attempt > 0 {
-                dev.advance_fault_epoch();
-                retries += 1;
-                push_host_span(&mut dev, Phase::Retry, 0);
-            }
-            match self.try_run_on(&mut dev, grid, steps) {
-                Ok(out) => {
-                    let check_start = Instant::now();
-                    let check = check_samples(&out.interior(), &want, &cfg);
+                    let check = check_samples(&D::interior(&out), &want, &cfg);
                     push_host_span(
                         &mut dev,
                         Phase::Verify,
@@ -1183,40 +484,76 @@ impl ConvStencil3D {
         dev
     }
 
+    /// The `(kernel, applications)` pairs `steps` decomposes into: full
+    /// applications of the fused kernel, then one application of a
+    /// smaller fused kernel for the remainder. CUDA-core variants run
+    /// unfused. An unfused dimension (3D) plans its whole run as one
+    /// pipeline, zero steps included.
+    fn applications(&self, steps: usize) -> Vec<(Cow<'_, D::Kernel>, usize)> {
+        let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
+        let fused = if fusion == self.fusion {
+            &self.fused
+        } else {
+            &self.kernel
+        };
+        let (full_apps, remainder) = (steps / fusion, steps % fusion);
+        let mut apps = Vec::with_capacity(2);
+        if full_apps > 0 || !D::FUSES {
+            apps.push((Cow::Borrowed(fused), full_apps));
+        }
+        if remainder > 0 {
+            apps.push((Cow::Owned(D::fuse(&self.kernel, remainder)), 1));
+        }
+        apps
+    }
+
+    /// One full run on an existing device (counters accumulate).
     fn try_run_on(
         &self,
         dev: &mut Device,
-        grid: &Grid3D,
+        grid: &D::Grid,
         steps: usize,
-    ) -> Result<Grid3D, ConvStencilError> {
-        let (d, m, n) = (grid.depth(), grid.rows(), grid.cols());
-        let exec = Exec3D::try_new(&self.kernel, d, m, n, self.variant)?;
-        if self.sanitize {
-            verify_statically(dev, || exec.verify())?;
+    ) -> Result<D::Grid, ConvStencilError> {
+        let mut current = Cow::Borrowed(grid);
+        for (kernel, apps) in self.applications(steps) {
+            current = Cow::Owned(self.try_run_apps(dev, &current, &kernel, apps)?);
         }
-        let ext0 = exec.try_build_ext(grid)?;
-        let ext = try_run_3d_applications_bc(dev, &exec, &ext0, steps, self.boundary)?;
-        let mut out = grid.clone();
-        exec.extract_into(&ext, &mut out);
-        Ok(out)
+        Ok(current.into_owned())
     }
 
-    /// CPU ground truth: 3D has no temporal fusion, so the reference is a
-    /// plain naive run under the configured boundary condition.
-    fn reference_run(&self, grid: &Grid3D, steps: usize) -> Grid3D {
-        if self.boundary == Boundary::Periodic {
-            run3d_periodic(grid, &self.kernel, steps)
-        } else {
-            run3d(grid, &self.kernel, steps)
+    fn try_run_apps(
+        &self,
+        dev: &mut Device,
+        grid: &D::Grid,
+        kernel: &D::Kernel,
+        apps: usize,
+    ) -> Result<D::Grid, ConvStencilError> {
+        let exec = D::try_exec(kernel, &D::extents(grid), self.variant)?;
+        if self.sanitize {
+            verify_statically(dev, || D::verify(&exec))?;
         }
+        let ext0 = D::try_build_ext(&exec, grid)?;
+        let ext = try_run_applications::<D>(dev, &exec, &ext0, apps, self.boundary)?;
+        let mut out = grid.clone();
+        D::extract_into(&exec, &ext, &mut out);
+        Ok(out)
     }
+}
+
+/// Stencil points of `grid`, rejecting zero-sized grids.
+fn points<D: Dim>(grid: &D::Grid) -> Result<u64, ConvStencilError> {
+    let dims = D::extents(grid);
+    if dims.contains(&0) {
+        return Err(ConvStencilError::ZeroSizedGrid { dims });
+    }
+    Ok(dims.iter().product::<usize>() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stencil_core::reference::{run1d, run2d, run3d};
-    use stencil_core::{assert_close_default, Shape};
+    use stencil_core::{assert_close_default, Grid1D, Grid2D, Grid3D, Shape};
 
     #[test]
     fn heat2d_auto_fuses_to_3() {

@@ -291,18 +291,6 @@ impl Exec1D {
     ///
     /// The explicit variant (I) materializes the stencil2row matrices in
     /// global scratch first; pass buffers from [`Exec1D::alloc_explicit`].
-    pub fn run_application(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<(BufferId, BufferId)>,
-    ) {
-        self.try_run_application(dev, ext_in, ext_out, explicit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec1D::run_application`].
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -605,11 +593,6 @@ impl Exec1D {
 }
 
 /// Simulated periodic halo exchange on an extended 1D array.
-pub fn halo_exchange_1d(dev: &mut Device, ext: BufferId, plan: &Plan1D) {
-    try_halo_exchange_1d(dev, ext, plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`halo_exchange_1d`].
 pub fn try_halo_exchange_1d(
     dev: &mut Device,
     ext: BufferId,
@@ -634,54 +617,12 @@ pub fn try_halo_exchange_1d(
     Ok(())
 }
 
-/// Run `apps` applications over a fresh buffer pair; returns the final
-/// extended array.
-pub fn run_1d_applications(dev: &mut Device, exec: &Exec1D, ext0: &[f64], apps: usize) -> Vec<f64> {
-    run_1d_applications_bc(dev, exec, ext0, apps, stencil_core::Boundary::Dirichlet)
-}
-
-/// [`run_1d_applications`] with an explicit boundary condition.
-pub fn run_1d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec1D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Vec<f64> {
-    try_run_1d_applications_bc(dev, exec, ext0, apps, boundary).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_1d_applications_bc`].
-pub fn try_run_1d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec1D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let a = dev.alloc_from(ext0);
-    let b = dev.alloc_from(ext0);
-    let scratch = exec
-        .variant
-        .explicit_global
-        .then(|| exec.alloc_explicit(dev));
-    let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
-        if boundary == stencil_core::Boundary::Periodic {
-            try_halo_exchange_1d(dev, cur, &exec.plan)?;
-        }
-        exec.try_run_application(dev, cur, next, scratch)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // The device never touches the ping-pong buffers again: move the
-    // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dim::{try_run_applications, D1};
     use stencil_core::reference::run1d;
+    use stencil_core::Boundary;
     use stencil_core::{assert_close_default, fuse1d, Grid1D};
 
     fn check(kernel: &Kernel1D, n: usize, apps: usize, variant: VariantConfig) {
@@ -690,7 +631,8 @@ mod tests {
         let exec = Exec1D::new(kernel, n, variant);
         let mut dev = Device::a100();
         let ext0 = exec.plan.build_ext(&grid);
-        let ext = run_1d_applications(&mut dev, &exec, &ext0, apps);
+        let ext =
+            try_run_applications::<D1>(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid1D::new(n, kernel.radius());
         exec.plan.extract_into(&ext, &mut got);
         let want = run1d(&grid, kernel, apps);
@@ -730,7 +672,8 @@ mod tests {
             let exec = Exec1D::new(&kernel, n, variant);
             let mut dev = Device::a100();
             let ext0 = exec.plan.build_ext(&grid);
-            let ext = run_1d_applications(&mut dev, &exec, &ext0, 1);
+            let ext =
+                try_run_applications::<D1>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid1D::new(n, kernel.radius());
             exec.plan.extract_into(&ext, &mut got);
             assert_close_default(&got.interior(), &want);
@@ -748,7 +691,7 @@ mod tests {
         let mut dev = Device::a100();
         let grid = Grid1D::new(n, 3);
         let ext0 = exec.plan.build_ext(&grid);
-        run_1d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D1>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         // Bands = n / (8 * (nk+1)) = 128; each 2*ceil(7/4) = 4 MMAs.
         assert_eq!(dev.counters.dmma_ops, (8192 / 64) * 4);
     }

@@ -192,20 +192,8 @@ impl Exec2D {
     }
 
     /// Run one application: read `ext_in`, write interior rows of
-    /// `ext_out`. `explicit` must be `Some` iff the variant is explicit.
-    pub fn run_application(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<ExplicitBuffers>,
-    ) {
-        self.try_run_application(dev, ext_in, ext_out, explicit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec2D::run_application`]: surfaces scratch
-    /// misuse and device launch faults as errors.
+    /// `ext_out`. `explicit` must be `Some` iff the variant is explicit;
+    /// scratch misuse and device launch faults surface as errors.
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -594,11 +582,6 @@ impl Exec2D {
 /// kernels (column wrap within interior rows, then full-row wrap so the
 /// corners inherit the wrapped columns). Counted like any other kernel —
 /// periodic codes pay their exchange.
-pub fn halo_exchange_2d(dev: &mut Device, ext: BufferId, plan: &Plan2D) {
-    try_halo_exchange_2d(dev, ext, plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`halo_exchange_2d`].
 pub fn try_halo_exchange_2d(
     dev: &mut Device,
     ext: BufferId,
@@ -646,58 +629,12 @@ pub fn try_halo_exchange_2d(
     Ok(())
 }
 
-/// Convenience: run `apps` applications of `kernel` over a grid's extended
-/// arrays on a fresh pair of device buffers, returning the final extended
-/// array. Used by the high-level API and tests.
-pub fn run_2d_applications(dev: &mut Device, exec: &Exec2D, ext0: &[f64], apps: usize) -> Vec<f64> {
-    run_2d_applications_bc(dev, exec, ext0, apps, stencil_core::Boundary::Dirichlet)
-}
-
-/// [`run_2d_applications`] with an explicit boundary condition. Under
-/// periodic boundaries the halo is wrapped (on-device) before every
-/// application, which also makes temporal fusion exact.
-pub fn run_2d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec2D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Vec<f64> {
-    try_run_2d_applications_bc(dev, exec, ext0, apps, boundary).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_2d_applications_bc`]: propagates device launch
-/// faults (including injected ones) instead of panicking.
-pub fn try_run_2d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec2D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let a = dev.alloc_from(ext0);
-    let b = dev.alloc_from(ext0);
-    let scratch = exec
-        .variant
-        .explicit_global
-        .then(|| exec.alloc_explicit(dev));
-    let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
-        if boundary == stencil_core::Boundary::Periodic {
-            try_halo_exchange_2d(dev, cur, &exec.plan)?;
-        }
-        exec.try_run_application(dev, cur, next, scratch)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // The device never touches the ping-pong buffers again: move the
-    // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dim::{try_run_applications, D2};
     use stencil_core::reference::run2d;
+    use stencil_core::Boundary;
     use stencil_core::{assert_close_default, fuse2d, Grid2D, Kernel2D};
 
     fn check_variant(kernel: &Kernel2D, m: usize, n: usize, apps: usize, variant: VariantConfig) {
@@ -706,7 +643,8 @@ mod tests {
         let exec = Exec2D::new(kernel, m, n, variant);
         let mut dev = Device::a100();
         let ext0 = exec.plan.build_ext(&grid);
-        let ext = run_2d_applications(&mut dev, &exec, &ext0, apps);
+        let ext =
+            try_run_applications::<D2>(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid2D::new(m, n, kernel.radius());
         exec.plan.extract_into(&ext, &mut got);
         let want = run2d(&grid, kernel, apps);
@@ -763,7 +701,8 @@ mod tests {
             let exec = Exec2D::new(&kernel, m, n, variant);
             let mut dev = Device::a100();
             let ext0 = exec.plan.build_ext(&grid);
-            let ext = run_2d_applications(&mut dev, &exec, &ext0, 1);
+            let ext =
+                try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid2D::new(m, n, kernel.radius());
             exec.plan.extract_into(&ext, &mut got);
             assert_close_default(&got.interior(), &want);
@@ -791,7 +730,7 @@ mod tests {
         let mut dev = Device::a100();
         let grid = Grid2D::new(m, n, 3);
         let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         let expect = crate::model::convstencil_mma_count(m, n, 7);
         assert_eq!(dev.counters.dmma_ops, expect);
     }
@@ -805,7 +744,7 @@ mod tests {
             let mut grid = Grid2D::new(64, 128, 3);
             grid.fill_random(3);
             let ext0 = exec.plan.build_ext(&grid);
-            run_2d_applications(&mut dev, &exec, &ext0, 1);
+            try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             dev.counters
         };
         let unpadded = run(VariantConfig::implicit_tcu());
@@ -830,7 +769,7 @@ mod tests {
             let mut dev = Device::a100();
             let grid = Grid2D::new(64, 128, 3);
             let ext0 = exec.plan.build_ext(&grid);
-            run_2d_applications(&mut dev, &exec, &ext0, 1);
+            try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             dev.counters
         };
         let iv = run(VariantConfig::implicit_tcu_padded());
@@ -847,7 +786,7 @@ mod tests {
         let mut dev = Device::a100();
         let grid = Grid2D::new(64, 128, 3);
         let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         let uga = dev.counters.uncoalesced_global_access_pct();
         assert!(uga < 5.0, "UGA = {uga}%");
     }
@@ -860,7 +799,7 @@ mod tests {
             let mut dev = Device::a100();
             let grid = Grid2D::new(64, 128, 3);
             let ext0 = exec.plan.build_ext(&grid);
-            run_2d_applications(&mut dev, &exec, &ext0, 1);
+            try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             dev.counters
         };
         let explicit = run(VariantConfig::explicit_cuda());

@@ -406,18 +406,6 @@ impl Exec3D {
 
     /// One application: read `ext_in`, write interior planes of `ext_out`.
     /// `explicit` must be `Some` iff the variant is explicit (variant I).
-    pub fn run_application(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<ExplicitBuffers3D>,
-    ) {
-        self.try_run_application(dev, ext_in, ext_out, explicit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec3D::run_application`].
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -707,11 +695,6 @@ impl Exec3D {
 /// Simulated periodic halo exchange on an extended 3D array: column wrap,
 /// row wrap (per interior plane), then full-plane wrap so the halo planes
 /// inherit fully wrapped contents.
-pub fn halo_exchange_3d(dev: &mut Device, ext: BufferId, exec: &Exec3D) {
-    try_halo_exchange_3d(dev, ext, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`halo_exchange_3d`].
 pub fn try_halo_exchange_3d(
     dev: &mut Device,
     ext: BufferId,
@@ -769,53 +752,12 @@ pub fn try_halo_exchange_3d(
     Ok(())
 }
 
-/// Run `apps` applications over a fresh buffer pair.
-pub fn run_3d_applications(dev: &mut Device, exec: &Exec3D, ext0: &[f64], apps: usize) -> Vec<f64> {
-    run_3d_applications_bc(dev, exec, ext0, apps, stencil_core::Boundary::Dirichlet)
-}
-
-/// [`run_3d_applications`] with an explicit boundary condition.
-pub fn run_3d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec3D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Vec<f64> {
-    try_run_3d_applications_bc(dev, exec, ext0, apps, boundary).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_3d_applications_bc`].
-pub fn try_run_3d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec3D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let a = dev.alloc_from(ext0);
-    let b = dev.alloc_from(ext0);
-    let scratch = exec
-        .variant
-        .explicit_global
-        .then(|| exec.alloc_explicit(dev));
-    let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
-        if boundary == stencil_core::Boundary::Periodic {
-            try_halo_exchange_3d(dev, cur, exec)?;
-        }
-        exec.try_run_application(dev, cur, next, scratch)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // The device never touches the ping-pong buffers again: move the
-    // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dim::{try_run_applications, D3};
     use stencil_core::reference::run3d;
+    use stencil_core::Boundary;
     use stencil_core::{assert_close_default, Kernel3D};
 
     fn check(kernel: &Kernel3D, dims: (usize, usize, usize), apps: usize, variant: VariantConfig) {
@@ -825,7 +767,8 @@ mod tests {
         let exec = Exec3D::new(kernel, d, m, n, variant);
         let mut dev = Device::a100();
         let ext0 = exec.build_ext(&grid);
-        let ext = run_3d_applications(&mut dev, &exec, &ext0, apps);
+        let ext =
+            try_run_applications::<D3>(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid3D::new(d, m, n, kernel.radius());
         exec.extract_into(&ext, &mut got);
         let want = run3d(&grid, kernel, apps);
@@ -856,7 +799,7 @@ mod tests {
         let mut dev = Device::a100();
         let grid = Grid3D::new(8, 8, 64, 1);
         let ext0 = exec.build_ext(&grid);
-        run_3d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         assert!(dev.counters.dmma_ops > 0, "center plane must use MMAs");
         assert!(
             dev.counters.cuda_fma_ops > 0,
@@ -872,7 +815,7 @@ mod tests {
         let mut dev = Device::a100();
         let grid = Grid3D::new(d, m, n, 1);
         let ext0 = exec.build_ext(&grid);
-        run_3d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         // Per output plane: mn/(8*4) tessellations x 2*ceil(9/4)=6 MMAs,
         // once per input plane (3); times d output planes.
         let per_plane = (m as u64 * n as u64) / 32 * 6;
@@ -887,7 +830,8 @@ mod tests {
         let mut grid = Grid3D::new(6, 8, 32, 1);
         grid.fill_random(3);
         let ext0 = exec.build_ext(&grid);
-        let ext = run_3d_applications(&mut dev, &exec, &ext0, 1);
+        let ext =
+            try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         assert_eq!(dev.counters.dmma_ops, 0);
         assert!(dev.counters.cuda_fma_ops > 0);
         let mut got = Grid3D::new(6, 8, 32, 1);
@@ -907,7 +851,8 @@ mod tests {
             let exec = Exec3D::new(&k, d, m, n, variant);
             let mut dev = Device::a100();
             let ext0 = exec.build_ext(&grid);
-            let ext = run_3d_applications(&mut dev, &exec, &ext0, 1);
+            let ext =
+                try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid3D::new(d, m, n, 1);
             exec.extract_into(&ext, &mut got);
             assert_close_default(&got.interior(), &want.interior());

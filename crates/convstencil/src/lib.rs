@@ -19,6 +19,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod api;
+pub mod dim;
 pub mod error;
 pub mod exec1d;
 pub mod exec2d;
@@ -35,8 +36,10 @@ pub mod verify_plan;
 pub mod weights;
 
 pub use api::{
-    check_samples, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport, VerifyConfig, MAX_NK,
+    check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport,
+    VerifyConfig, MAX_NK,
 };
+pub use dim::{try_run_applications, Dim, D1, D2, D3};
 pub use error::{ConvStencilError, DeadlineKind};
 pub use exec1d::Exec1D;
 pub use exec2d::Exec2D;

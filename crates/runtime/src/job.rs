@@ -28,10 +28,10 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::checkpoint::{load_latest, Checkpoint, DeviceCursor};
 use crate::pool::{DevicePool, DeviceSlot};
 use convstencil::{
-    check_samples, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, DeadlineKind,
-    VariantConfig, VerifyConfig,
+    check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError,
+    DeadlineKind, Dim, VariantConfig, VerifyConfig, D1, D2, D3,
 };
-use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D};
+use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D};
 use tcu_sim::{CostModel, Counters, Device, FaultPlan, LaunchStats, SanitizerReport};
 
 /// Runtime-wide configuration (shared by every job the runtime executes).
@@ -96,125 +96,208 @@ pub enum JobPayload {
     D3 { runner: ConvStencil3D, grid: Grid3D },
 }
 
-impl JobPayload {
-    pub fn dim(&self) -> u8 {
-        match self {
-            JobPayload::D1 { .. } => 1,
-            JobPayload::D2 { .. } => 2,
-            JobPayload::D3 { .. } => 3,
+/// A [`Dim`] a job can run in: maps a runner and grid onto the matching
+/// [`JobPayload`] variant (the inverse of the payload's one dimension
+/// dispatch).
+pub trait JobDim: Dim {
+    fn payload(runner: ConvStencil<Self>, grid: Self::Grid) -> JobPayload;
+}
+
+impl JobDim for D1 {
+    fn payload(runner: ConvStencil1D, grid: Grid1D) -> JobPayload {
+        JobPayload::D1 { runner, grid }
+    }
+}
+
+impl JobDim for D2 {
+    fn payload(runner: ConvStencil2D, grid: Grid2D) -> JobPayload {
+        JobPayload::D2 { runner, grid }
+    }
+}
+
+impl JobDim for D3 {
+    fn payload(runner: ConvStencil3D, grid: Grid3D) -> JobPayload {
+        JobPayload::D3 { runner, grid }
+    }
+}
+
+/// Everything the job loop does to a payload, with the dimension erased.
+/// Operations that advance the grid return the advanced payload, so the
+/// caller commits it only on success.
+trait Problem {
+    fn dim(&self) -> u8;
+    fn interior(&self) -> Vec<f64>;
+    fn pool_device(&self, plan: Option<FaultPlan>) -> Device;
+    /// Run one chunk on `dev`. With a verify config, the output is
+    /// spot-checked against the reference decomposition of the same
+    /// chunk.
+    fn try_chunk_on(
+        &self,
+        dev: &mut Device,
+        steps: usize,
+        verify: Option<&VerifyConfig>,
+    ) -> Result<JobPayload, ConvStencilError>;
+    /// Run one chunk on the CPU reference backend (always succeeds).
+    fn reference_chunk(&self, steps: usize) -> JobPayload;
+    /// Base kernel radius and weights, fusion degree, boundary, variant.
+    fn plan_fields(&self) -> (usize, Vec<f64>, usize, Boundary, VariantConfig);
+    /// Interior extents, halo width, padded storage.
+    fn grid_fields(&self) -> (Vec<usize>, usize, Vec<f64>);
+}
+
+struct View<'a, D: Dim> {
+    runner: &'a ConvStencil<D>,
+    grid: &'a D::Grid,
+}
+
+impl<D: JobDim> Problem for View<'_, D> {
+    fn dim(&self) -> u8 {
+        D::N
+    }
+
+    fn interior(&self) -> Vec<f64> {
+        D::interior(self.grid)
+    }
+
+    fn pool_device(&self, plan: Option<FaultPlan>) -> Device {
+        self.runner.pool_device(plan)
+    }
+
+    fn try_chunk_on(
+        &self,
+        dev: &mut Device,
+        steps: usize,
+        verify: Option<&VerifyConfig>,
+    ) -> Result<JobPayload, ConvStencilError> {
+        let out = self.runner.try_run_on_device(dev, self.grid, steps)?;
+        if let Some(cfg) = verify {
+            let want = self.runner.run_reference(self.grid, steps);
+            check_samples(&D::interior(&out), &D::interior(&want), cfg)
+                .map_err(|source| ConvStencilError::VerificationFailed { retries: 0, source })?;
         }
+        Ok(D::payload(self.runner.clone(), out))
+    }
+
+    fn reference_chunk(&self, steps: usize) -> JobPayload {
+        let out = self.runner.run_reference(self.grid, steps);
+        D::payload(self.runner.clone(), out)
+    }
+
+    fn plan_fields(&self) -> (usize, Vec<f64>, usize, Boundary, VariantConfig) {
+        let kernel = self.runner.base_kernel();
+        (
+            D::radius(kernel),
+            D::weights(kernel).to_vec(),
+            self.runner.fusion(),
+            self.runner.boundary(),
+            self.runner.variant(),
+        )
+    }
+
+    fn grid_fields(&self) -> (Vec<usize>, usize, Vec<f64>) {
+        (
+            D::extents(self.grid),
+            D::halo(self.grid),
+            D::padded(self.grid).to_vec(),
+        )
+    }
+}
+
+/// Rebuild a `D`-dimensional payload from a checkpoint (see
+/// [`JobPayload::from_checkpoint`]).
+fn restore<D: JobDim>(
+    ck: &Checkpoint,
+    boundary: Boundary,
+    variant: VariantConfig,
+) -> Result<JobPayload, ConvStencilError> {
+    let want = (2 * ck.radius + 1).pow(u32::from(D::N));
+    if ck.weights.len() != want {
+        return Err(bad_checkpoint(
+            ck,
+            format!(
+                "{}D kernel wants {want} weights, checkpoint has {}",
+                D::N,
+                ck.weights.len()
+            ),
+        ));
+    }
+    let [tracing, sanitize, pooling] = ck.flags;
+    let runner =
+        ConvStencil::<D>::try_with_fusion(D::new_kernel(ck.radius, ck.weights.clone()), ck.fusion)?
+            .with_variant(variant)
+            .with_boundary(boundary)
+            .with_tracing(tracing)
+            .with_sanitizer(sanitize)
+            .with_scratch_pooling(pooling);
+    let mut grid = D::new_grid(&ck.grid_dims, ck.grid_halo);
+    let padded = D::padded_mut(&mut grid);
+    if padded.len() != ck.grid_data.len() {
+        return Err(bad_checkpoint(
+            ck,
+            format!(
+                "grid storage wants {} values, checkpoint has {}",
+                padded.len(),
+                ck.grid_data.len()
+            ),
+        ));
+    }
+    padded.copy_from_slice(&ck.grid_data);
+    Ok(D::payload(runner, grid))
+}
+
+fn bad_checkpoint(ck: &Checkpoint, reason: String) -> ConvStencilError {
+    ConvStencilError::ArtifactRead {
+        path: Checkpoint::file_name(&ck.job, ck.steps_done),
+        reason,
+    }
+}
+
+impl JobPayload {
+    /// The one dimension dispatch: hand the runner and grid to generic
+    /// code through the dimension-erased [`Problem`] view.
+    fn with_problem<R>(&self, f: impl FnOnce(&dyn Problem) -> R) -> R {
+        match self {
+            JobPayload::D1 { runner, grid } => f(&View { runner, grid }),
+            JobPayload::D2 { runner, grid } => f(&View { runner, grid }),
+            JobPayload::D3 { runner, grid } => f(&View { runner, grid }),
+        }
+    }
+
+    pub fn dim(&self) -> u8 {
+        self.with_problem(|p| p.dim())
     }
 
     /// Flat interior values of the current grid (test/inspection helper).
     pub fn interior(&self) -> Vec<f64> {
-        match self {
-            JobPayload::D1 { grid, .. } => grid.interior(),
-            JobPayload::D2 { grid, .. } => grid.interior(),
-            JobPayload::D3 { grid, .. } => grid.interior(),
-        }
+        self.with_problem(|p| p.interior())
     }
 
     fn pool_device(&self, plan: Option<FaultPlan>) -> Device {
-        match self {
-            JobPayload::D1 { runner, .. } => runner.pool_device(plan),
-            JobPayload::D2 { runner, .. } => runner.pool_device(plan),
-            JobPayload::D3 { runner, .. } => runner.pool_device(plan),
-        }
+        self.with_problem(|p| p.pool_device(plan))
     }
 
-    /// Run one chunk on `dev`; commit the grid only on success. With a
-    /// verify config, the output is spot-checked against the reference
-    /// decomposition of the same chunk before committing.
+    /// Run one chunk on `dev`; commit the grid only on success.
     fn try_chunk_on(
         &mut self,
         dev: &mut Device,
         steps: usize,
         verify: Option<&VerifyConfig>,
     ) -> Result<(), ConvStencilError> {
-        match self {
-            JobPayload::D1 { runner, grid } => {
-                let out = runner.try_run_on_device(dev, grid, steps)?;
-                if let Some(cfg) = verify {
-                    let want = runner.run_reference(grid, steps);
-                    check_samples(&out.interior(), &want.interior(), cfg).map_err(|source| {
-                        ConvStencilError::VerificationFailed { retries: 0, source }
-                    })?;
-                }
-                *grid = out;
-            }
-            JobPayload::D2 { runner, grid } => {
-                let out = runner.try_run_on_device(dev, grid, steps)?;
-                if let Some(cfg) = verify {
-                    let want = runner.run_reference(grid, steps);
-                    check_samples(&out.interior(), &want.interior(), cfg).map_err(|source| {
-                        ConvStencilError::VerificationFailed { retries: 0, source }
-                    })?;
-                }
-                *grid = out;
-            }
-            JobPayload::D3 { runner, grid } => {
-                let out = runner.try_run_on_device(dev, grid, steps)?;
-                if let Some(cfg) = verify {
-                    let want = runner.run_reference(grid, steps);
-                    check_samples(&out.interior(), &want.interior(), cfg).map_err(|source| {
-                        ConvStencilError::VerificationFailed { retries: 0, source }
-                    })?;
-                }
-                *grid = out;
-            }
-        }
+        *self = self.with_problem(|p| p.try_chunk_on(dev, steps, verify))?;
         Ok(())
     }
 
     /// Run one chunk on the CPU reference backend (always succeeds).
     fn reference_chunk(&mut self, steps: usize) {
-        match self {
-            JobPayload::D1 { runner, grid } => *grid = runner.run_reference(grid, steps),
-            JobPayload::D2 { runner, grid } => *grid = runner.run_reference(grid, steps),
-            JobPayload::D3 { runner, grid } => *grid = runner.run_reference(grid, steps),
-        }
+        *self = self.with_problem(|p| p.reference_chunk(steps));
     }
 
     fn plan_fields(&self) -> (usize, Vec<f64>, usize, Boundary, VariantConfig) {
-        match self {
-            JobPayload::D1 { runner, .. } => (
-                runner.base_kernel().radius(),
-                runner.base_kernel().weights().to_vec(),
-                runner.fusion(),
-                runner.boundary(),
-                runner.variant(),
-            ),
-            JobPayload::D2 { runner, .. } => (
-                runner.base_kernel().radius(),
-                runner.base_kernel().weights().to_vec(),
-                runner.fusion(),
-                runner.boundary(),
-                runner.variant(),
-            ),
-            JobPayload::D3 { runner, .. } => (
-                runner.base_kernel().radius(),
-                runner.base_kernel().weights().to_vec(),
-                1,
-                runner.boundary(),
-                runner.variant(),
-            ),
-        }
+        self.with_problem(|p| p.plan_fields())
     }
 
     fn grid_fields(&self) -> (Vec<usize>, usize, Vec<f64>) {
-        match self {
-            JobPayload::D1 { grid, .. } => (vec![grid.len()], grid.halo(), grid.padded().to_vec()),
-            JobPayload::D2 { grid, .. } => (
-                vec![grid.rows(), grid.cols()],
-                grid.halo(),
-                grid.padded().to_vec(),
-            ),
-            JobPayload::D3 { grid, .. } => (
-                vec![grid.depth(), grid.rows(), grid.cols()],
-                grid.halo(),
-                grid.padded().to_vec(),
-            ),
-        }
+        self.with_problem(|p| p.grid_fields())
     }
 
     /// Rebuild a payload (runner + grid) from a checkpoint. The runner
@@ -225,12 +308,7 @@ impl JobPayload {
         let boundary = match ck.boundary.as_str() {
             "dirichlet" => Boundary::Dirichlet,
             "periodic" => Boundary::Periodic,
-            other => {
-                return Err(ConvStencilError::ArtifactRead {
-                    path: Checkpoint::file_name(&ck.job, ck.steps_done),
-                    reason: format!("unknown boundary {other:?}"),
-                })
-            }
+            other => return Err(bad_checkpoint(ck, format!("unknown boundary {other:?}"))),
         };
         let variant = VariantConfig {
             explicit_global: ck.variant[0],
@@ -238,97 +316,11 @@ impl JobPayload {
             padding: ck.variant[2],
             dirty_bits_lut: ck.variant[3],
         };
-        let bad_grid = |why: String| ConvStencilError::ArtifactRead {
-            path: Checkpoint::file_name(&ck.job, ck.steps_done),
-            reason: why,
-        };
-        let nk = 2 * ck.radius + 1;
-        let [tracing, sanitize, pooling] = ck.flags;
         match ck.dim {
-            1 => {
-                if ck.weights.len() != nk {
-                    return Err(bad_grid(format!(
-                        "1D kernel wants {nk} weights, checkpoint has {}",
-                        ck.weights.len()
-                    )));
-                }
-                let runner =
-                    ConvStencil1D::try_with_fusion(Kernel1D::new(ck.weights.clone()), ck.fusion)?
-                        .with_variant(variant)
-                        .with_boundary(boundary)
-                        .with_tracing(tracing)
-                        .with_sanitizer(sanitize)
-                        .with_scratch_pooling(pooling);
-                let mut grid = Grid1D::new(ck.grid_dims[0], ck.grid_halo);
-                if grid.padded().len() != ck.grid_data.len() {
-                    return Err(bad_grid(format!(
-                        "grid storage wants {} values, checkpoint has {}",
-                        grid.padded().len(),
-                        ck.grid_data.len()
-                    )));
-                }
-                grid.padded_mut().copy_from_slice(&ck.grid_data);
-                Ok(JobPayload::D1 { runner, grid })
-            }
-            2 => {
-                if ck.weights.len() != nk * nk {
-                    return Err(bad_grid(format!(
-                        "2D kernel wants {} weights, checkpoint has {}",
-                        nk * nk,
-                        ck.weights.len()
-                    )));
-                }
-                let runner = ConvStencil2D::try_with_fusion(
-                    Kernel2D::new(ck.radius, ck.weights.clone()),
-                    ck.fusion,
-                )?
-                .with_variant(variant)
-                .with_boundary(boundary)
-                .with_tracing(tracing)
-                .with_sanitizer(sanitize)
-                .with_scratch_pooling(pooling);
-                let mut grid = Grid2D::new(ck.grid_dims[0], ck.grid_dims[1], ck.grid_halo);
-                if grid.padded().len() != ck.grid_data.len() {
-                    return Err(bad_grid(format!(
-                        "grid storage wants {} values, checkpoint has {}",
-                        grid.padded().len(),
-                        ck.grid_data.len()
-                    )));
-                }
-                grid.padded_mut().copy_from_slice(&ck.grid_data);
-                Ok(JobPayload::D2 { runner, grid })
-            }
-            3 => {
-                if ck.weights.len() != nk * nk * nk {
-                    return Err(bad_grid(format!(
-                        "3D kernel wants {} weights, checkpoint has {}",
-                        nk * nk * nk,
-                        ck.weights.len()
-                    )));
-                }
-                let runner = ConvStencil3D::try_new(Kernel3D::new(ck.radius, ck.weights.clone()))?
-                    .with_variant(variant)
-                    .with_boundary(boundary)
-                    .with_tracing(tracing)
-                    .with_sanitizer(sanitize)
-                    .with_scratch_pooling(pooling);
-                let mut grid = Grid3D::new(
-                    ck.grid_dims[0],
-                    ck.grid_dims[1],
-                    ck.grid_dims[2],
-                    ck.grid_halo,
-                );
-                if grid.padded().len() != ck.grid_data.len() {
-                    return Err(bad_grid(format!(
-                        "grid storage wants {} values, checkpoint has {}",
-                        grid.padded().len(),
-                        ck.grid_data.len()
-                    )));
-                }
-                grid.padded_mut().copy_from_slice(&ck.grid_data);
-                Ok(JobPayload::D3 { runner, grid })
-            }
-            other => Err(bad_grid(format!("unsupported dim {other}"))),
+            1 => restore::<D1>(ck, boundary, variant),
+            2 => restore::<D2>(ck, boundary, variant),
+            3 => restore::<D3>(ck, boundary, variant),
+            other => Err(bad_checkpoint(ck, format!("unsupported dim {other}"))),
         }
     }
 }

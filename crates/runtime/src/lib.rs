@@ -35,5 +35,5 @@ pub mod pool;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use checkpoint::{load_latest, Checkpoint, DeviceCursor};
 pub use crc64::crc64;
-pub use job::{Job, JobEvent, JobOutcome, JobPayload, JobReport, Runtime, RuntimeConfig};
+pub use job::{Job, JobDim, JobEvent, JobOutcome, JobPayload, JobReport, Runtime, RuntimeConfig};
 pub use pool::{DevicePool, DeviceSlot};

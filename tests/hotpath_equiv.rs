@@ -122,8 +122,11 @@ fn pooled_matches_unpooled_through_verified_retry() {
     let base = ConvStencil2D::new(k)
         .with_tracing(true)
         .with_fault_plan(plan);
-    let (out_p, rep_p) = base.clone().run_verified(&g, 3);
-    let (out_u, rep_u) = base.with_scratch_pooling(false).run_verified(&g, 3);
+    let (out_p, rep_p) = base.clone().try_run_verified(&g, 3).unwrap();
+    let (out_u, rep_u) = base
+        .with_scratch_pooling(false)
+        .try_run_verified(&g, 3)
+        .unwrap();
     assert_bits_equal(&out_p.interior(), &out_u.interior(), "verified");
     assert_eq!(rep_p.retries, rep_u.retries, "retry counts differ");
     assert_eq!(rep_p.faults_detected, rep_u.faults_detected);

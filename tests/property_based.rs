@@ -2,14 +2,16 @@
 //! stencil2row mapping structure, weight-matrix/tessellation algebra,
 //! temporal fusion, padding conflict-freedom, and the Eq. 13 MMA count.
 
-use convstencil_repro::convstencil::exec2d::{run_2d_applications, Exec2D};
 use convstencil_repro::convstencil::model;
 use convstencil_repro::convstencil::stencil2row::{build_2d, map_a, map_b, unmap_a, unmap_b};
 use convstencil_repro::convstencil::tessellation::host_convstencil_2d;
 use convstencil_repro::convstencil::{
-    ConvStencil2D, ConvStencilError, Plan2D, VariantConfig, WeightMatrices,
+    try_run_applications, ConvStencil2D, ConvStencilError, Exec2D, Plan2D, VariantConfig,
+    WeightMatrices, D2,
 };
-use convstencil_repro::stencil_core::{fill_pseudorandom, fuse2d, reference, Grid2D, Kernel2D};
+use convstencil_repro::stencil_core::{
+    fill_pseudorandom, fuse2d, reference, Boundary, Grid2D, Kernel2D,
+};
 use convstencil_repro::tcu_sim::{conflict_free_pad, stride_is_conflict_free, Device};
 use proptest::prelude::*;
 
@@ -145,7 +147,7 @@ proptest! {
         let mut dev = Device::a100();
         let grid = Grid2D::new(m, n, radius);
         let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         prop_assert_eq!(dev.counters.dmma_ops, model::convstencil_mma_count(m, n, nk));
     }
 
@@ -201,7 +203,7 @@ proptest! {
         let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
         let mut dev = Device::a100();
         let ext0 = exec.plan.build_ext(&grid);
-        let ext = run_2d_applications(&mut dev, &exec, &ext0, 1);
+        let ext = try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         let mut got = Grid2D::new(m, n, 1);
         exec.plan.extract_into(&ext, &mut got);
         let want = reference::run2d(&grid, &kernel, 1);
