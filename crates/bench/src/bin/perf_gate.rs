@@ -122,7 +122,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let baseline = parse_perf_json(&body);
+    let baseline = match parse_perf_json(&body) {
+        Ok(records) => records,
+        Err(e) => {
+            eprintln!(
+                "[perf-gate] FAIL: unreadable baseline {}: {e}",
+                path.display()
+            );
+            std::process::exit(1);
+        }
+    };
     let thresholds = GateThresholds {
         min_points_ratio: env_f64("PERF_GATE_MIN_RATIO", 0.35),
         max_alloc_ratio: env_f64("PERF_GATE_MAX_ALLOC_RATIO", 1.5),

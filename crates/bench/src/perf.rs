@@ -12,6 +12,11 @@
 //!   across machines and CI load, so this only catches catastrophic
 //!   slowdowns, not percent-level drift.
 //!
+//! The gate is strict about coverage: a malformed baseline record is an
+//! error, every measured record needs a baseline record of the same
+//! workload and mode, and every baseline record of a measured mode must
+//! be measured.
+//!
 //! The codec is hand-rolled like [`crate::bench_json`] (the workspace's
 //! `serde` is an API-compatibility stub).
 
@@ -119,15 +124,15 @@ fn num_field(obj: &str, name: &str) -> Option<f64> {
 }
 
 /// Parse the records out of a `BENCH_perf.json` body. The scanner keys
-/// on `{"workload":` so the reference map is skipped; malformed objects
-/// are dropped rather than erroring (a hand-edited baseline should not
-/// wedge the gate — a missing record simply isn't gated against).
-pub fn parse_perf_json(body: &str) -> Vec<PerfRecord> {
+/// on `{"workload":` so the reference map is skipped. Every record must
+/// parse completely: a damaged baseline is an error, never a silently
+/// smaller gate.
+pub fn parse_perf_json(body: &str) -> Result<Vec<PerfRecord>, String> {
     let mut out = Vec::new();
-    for chunk in body.split("{\"workload\":").skip(1) {
+    for (i, chunk) in body.split("{\"workload\":").skip(1).enumerate() {
         let obj = match chunk.find('}') {
             Some(end) => format!("{{\"workload\":{}", &chunk[..=end]),
-            None => continue,
+            None => return Err(format!("record {i} is not a closed object")),
         };
         let parsed = (|| {
             Some(PerfRecord {
@@ -139,28 +144,29 @@ pub fn parse_perf_json(body: &str) -> Vec<PerfRecord> {
                 alloc_bytes: num_field(&obj, "alloc_bytes")? as u64,
             })
         })();
-        if let Some(r) = parsed {
-            out.push(r);
-        }
+        out.push(parsed.ok_or_else(|| format!("record {i} is malformed: {obj}"))?);
     }
-    out
+    Ok(out)
 }
 
 /// Compare `current` against `baseline`; returns one human-readable line
-/// per violation. Only records matching on (workload, mode) are gated —
-/// a quick CI run checks quick records against a baseline that also
-/// carries full records.
+/// per violation. Records match on (workload, mode). A current record
+/// without a baseline record fails, and so does a baseline record of a
+/// measured mode that the run did not produce — a quick run gates every
+/// quick baseline record and ignores the full ones.
 pub fn gate_violations(
     baseline: &[PerfRecord],
     current: &[PerfRecord],
     t: &GateThresholds,
 ) -> Vec<String> {
+    let same = |a: &PerfRecord, b: &PerfRecord| a.workload == b.workload && a.mode == b.mode;
     let mut violations = Vec::new();
     for cur in current {
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.workload == cur.workload && b.mode == cur.mode)
-        else {
+        let Some(base) = baseline.iter().find(|b| same(b, cur)) else {
+            violations.push(format!(
+                "{} ({}): no baseline record to gate against",
+                cur.workload, cur.mode
+            ));
             continue;
         };
         let floor = t.min_points_ratio * base.points_per_sec;
@@ -180,6 +186,15 @@ pub fn gate_violations(
             violations.push(format!(
                 "{} ({}): {} heap allocations exceed gate {:.0} ({}x baseline {})",
                 cur.workload, cur.mode, cur.allocs, ceil, t.max_alloc_ratio, base.allocs
+            ));
+        }
+    }
+    for base in baseline {
+        let mode_measured = current.iter().any(|c| c.mode == base.mode);
+        if mode_measured && !current.iter().any(|c| same(c, base)) {
+            violations.push(format!(
+                "{} ({}): baseline record matches no measured workload",
+                base.workload, base.mode
             ));
         }
     }
@@ -223,13 +238,13 @@ mod tests {
         let body = render_perf_json(&records);
         assert!(body.contains("\"pre_optimization_wall_ms\""));
         assert!(body.contains("\"Box-2D9P\":510.42"));
-        assert_eq!(parse_perf_json(&body), records);
+        assert_eq!(parse_perf_json(&body).unwrap(), records);
     }
 
     #[test]
     fn reference_map_is_not_parsed_as_a_record() {
         let body = render_perf_json(&[]);
-        assert!(parse_perf_json(&body).is_empty());
+        assert!(parse_perf_json(&body).unwrap().is_empty());
     }
 
     #[test]
@@ -250,20 +265,56 @@ mod tests {
     }
 
     #[test]
-    fn gate_ignores_records_missing_from_baseline_or_other_modes() {
-        let base = vec![record("Box-2D9P", "full", 1.0e8, 1000)];
-        let cur = vec![
-            record("Box-2D9P", "quick", 1.0, 1_000_000),
-            record("Heat-1D", "full", 1.0, 1_000_000),
+    fn gate_ignores_baseline_records_of_unmeasured_modes() {
+        let base = vec![
+            record("Box-2D9P", "quick", 1.0e8, 1000),
+            record("Box-2D9P", "full", 1.0e8, 1000),
         ];
+        let cur = vec![record("Box-2D9P", "quick", 1.0e8, 1000)];
         assert!(gate_violations(&base, &cur, &GateThresholds::default()).is_empty());
     }
 
     #[test]
-    fn malformed_records_are_dropped_not_fatal() {
+    fn malformed_baseline_record_is_an_error() {
         let body = "{\"records\":[{\"workload\":\"X\",\"mode\":\"quick\"},{\"workload\":\"Y\",\"mode\":\"full\",\"wall_ms\":1.0,\"points_per_sec\":2.0,\"allocs\":3,\"alloc_bytes\":4}]}";
-        let parsed = parse_perf_json(body);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].workload, "Y");
+        let err = parse_perf_json(body).unwrap_err();
+        assert!(err.contains("record 0 is malformed"), "{err}");
+        let truncated = "{\"records\":[{\"workload\":\"Y\",\"mode\":\"full\"";
+        assert!(parse_perf_json(truncated).is_err());
+    }
+
+    #[test]
+    fn missing_baseline_record_fails_the_gate() {
+        let base = vec![record("Box-2D9P", "full", 1.0e8, 1000)];
+        let cur = vec![
+            record("Box-2D9P", "full", 1.0e8, 1000),
+            record("Heat-1D", "full", 1.0e8, 1000),
+        ];
+        let v = gate_violations(&base, &cur, &GateThresholds::default());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].starts_with("Heat-1D (full): no baseline record"),
+            "{v:?}"
+        );
+        // An empty baseline gates nothing, so it fails every record.
+        assert_eq!(
+            gate_violations(&[], &cur, &GateThresholds::default()).len(),
+            2
+        );
+    }
+
+    #[test]
+    fn unmatched_baseline_record_fails_the_gate() {
+        let base = vec![
+            record("Box-2D9P", "quick", 1.0e8, 1000),
+            record("Heat-3D", "quick", 1.0e8, 1000),
+        ];
+        let cur = vec![record("Box-2D9P", "quick", 1.0e8, 1000)];
+        let v = gate_violations(&base, &cur, &GateThresholds::default());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("Heat-3D (quick): baseline record matches no"),
+            "{v:?}"
+        );
     }
 }
