@@ -12,8 +12,9 @@
 //!   whenever `halo >= t * radius`. This is the semantic used to verify
 //!   temporal kernel fusion (fused kernel ≡ `t` exact steps).
 //!
-//! Rows are processed in parallel with rayon (the session's HPC guides);
-//! results are deterministic because each output cell is written once.
+//! Rows go through rayon's parallel iterators, which the vendored stub
+//! runs sequentially; results do not depend on row order because each
+//! output cell is written once.
 
 use crate::grid::{Grid1D, Grid2D, Grid3D};
 use crate::kernel::{Kernel1D, Kernel2D, Kernel3D};

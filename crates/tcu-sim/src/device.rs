@@ -7,9 +7,10 @@
 //!
 //! Semantics mirror a real GPU kernel with double buffering: global reads
 //! observe the pre-launch state; writes retire when the launch completes
-//! (applied in block order, so results are deterministic even though block
-//! bodies run in parallel under rayon — per the session's HPC guides,
-//! rayon's ordered `map` keeps the reduction deterministic).
+//! (applied in block order). Block bodies go through rayon's ordered
+//! `map`, which the vendored stub runs sequentially; results would be the
+//! same under a parallel scheduler because no block observes another's
+//! writes.
 
 use crate::config::DeviceConfig;
 use crate::cost::{CostBreakdown, CostModel, LaunchStats};

@@ -5,7 +5,7 @@
 //! shared-memory stores, and whole-launch failures. Every decision is a
 //! pure function of `(seed, epoch, site coordinates)` — a splitmix64 hash,
 //! no mutable RNG state — so a given plan reproduces the exact same faults
-//! run after run, even though blocks execute in parallel.
+//! run after run, whatever order blocks execute in.
 //!
 //! The `epoch` is bumped by retry logic (see `convstencil::api` verified
 //! execution): a retry of the same launch sequence sees a different fault

@@ -25,8 +25,9 @@
 //!   each launch decomposed into spans with exact counter attribution,
 //!   modelled span time, and host wall-clock; JSONL export.
 //! * **Device & launch** ([`device`]): kernels as closures over a
-//!   [`device::BlockCtx`]; blocks execute in parallel under rayon with
-//!   deterministic, GPU-faithful semantics (reads see pre-launch state,
+//!   [`device::BlockCtx`]; blocks run one after another on the host
+//!   (`vendor/rayon` is a sequential stub) with GPU-faithful semantics
+//!   that do not depend on block order (reads see pre-launch state,
 //!   writes retire at launch end).
 //!
 //! The simulator is *functional + event-counting*: algorithm outputs are
