@@ -192,7 +192,7 @@ pub(crate) fn on_dim<O: DimOp>(dim: usize, op: O) -> O::Out {
 }
 
 /// The benchmark kernel of `shape`, or `custom` weights over its support.
-pub(crate) fn shape_kernel<D: Dim>(
+pub(crate) fn cli_kernel<D: Dim>(
     shape: Shape,
     custom: &Option<Vec<f64>>,
 ) -> Result<D::Kernel, ConvStencilError> {
@@ -234,7 +234,7 @@ impl DimOp for RunVariant<'_> {
     type Out = Result<RunReport, ConvStencilError>;
 
     fn call<D: JobDim>(self) -> Self::Out {
-        let kernel = shape_kernel::<D>(self.args.shape, &self.args.custom_weights)?;
+        let kernel = cli_kernel::<D>(self.args.shape, &self.args.custom_weights)?;
         let grid = random_grid::<D>(self.sizes, &kernel);
         let (_, report) = ConvStencil::<D>::try_new(kernel)?
             .with_variant(self.variant)
@@ -256,7 +256,7 @@ impl DimOp for CheckVariant<'_> {
     type Out = Result<Result<(), ConvStencilError>, ConvStencilError>;
 
     fn call<D: JobDim>(self) -> Self::Out {
-        let kernel = shape_kernel::<D>(self.args.shape, &self.args.custom_weights)?;
+        let kernel = cli_kernel::<D>(self.args.shape, &self.args.custom_weights)?;
         let mut exec = D::try_exec(&kernel, &self.args.sizes, self.variant)?;
         if self.args.mutate_lut {
             D::corrupt_lut(&mut exec);

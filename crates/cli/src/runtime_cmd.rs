@@ -10,7 +10,7 @@
 //! message — scripts can match `error=artifact_read`). Corrupt
 //! checkpoints never panic.
 
-use crate::{on_dim, random_grid, shape_kernel, DimOp};
+use crate::{cli_kernel, on_dim, random_grid, DimOp};
 use convstencil::{ConvStencil, ConvStencilError};
 use convstencil_runtime::{Job, JobDim, JobEvent, JobOutcome, JobPayload, Runtime, RuntimeConfig};
 use std::path::PathBuf;
@@ -290,7 +290,7 @@ impl DimOp for BuildPayload<'_> {
     type Out = Result<JobPayload, ConvStencilError>;
 
     fn call<D: JobDim>(self) -> Self::Out {
-        let kernel = shape_kernel::<D>(self.cmd.shape, &self.cmd.custom_weights)?;
+        let kernel = cli_kernel::<D>(self.cmd.shape, &self.cmd.custom_weights)?;
         let grid = random_grid::<D>(self.sizes, &kernel);
         let runner = ConvStencil::<D>::try_new(kernel)?.with_sanitizer(self.cmd.sanitize);
         Ok(D::payload(runner, grid))

@@ -272,34 +272,6 @@ impl JobPayload {
         self.with_problem(|p| p.interior())
     }
 
-    fn pool_device(&self, plan: Option<FaultPlan>) -> Device {
-        self.with_problem(|p| p.pool_device(plan))
-    }
-
-    /// Run one chunk on `dev`; commit the grid only on success.
-    fn try_chunk_on(
-        &mut self,
-        dev: &mut Device,
-        steps: usize,
-        verify: Option<&VerifyConfig>,
-    ) -> Result<(), ConvStencilError> {
-        *self = self.with_problem(|p| p.try_chunk_on(dev, steps, verify))?;
-        Ok(())
-    }
-
-    /// Run one chunk on the CPU reference backend (always succeeds).
-    fn reference_chunk(&mut self, steps: usize) {
-        *self = self.with_problem(|p| p.reference_chunk(steps));
-    }
-
-    fn plan_fields(&self) -> (usize, Vec<f64>, usize, Boundary, VariantConfig) {
-        self.with_problem(|p| p.plan_fields())
-    }
-
-    fn grid_fields(&self) -> (Vec<usize>, usize, Vec<f64>) {
-        self.with_problem(|p| p.grid_fields())
-    }
-
     /// Rebuild a payload (runner + grid) from a checkpoint. The runner
     /// keeps the default device config of the current build; everything
     /// that shapes the numerics — kernel, fusion, variant, boundary,
@@ -544,7 +516,7 @@ impl Runtime {
                 Some(c) => c.plan,
                 None => self.config.device_faults.get(id).copied().flatten(),
             };
-            let mut device = payload.pool_device(plan);
+            let mut device = payload.with_problem(|p| p.pool_device(plan));
             let mut breaker = CircuitBreaker::new(self.config.breaker);
             if let Some(c) = cursor {
                 device.restore_fault_cursor(c.fault_epoch, c.launch_attempts, c.dead);
@@ -649,7 +621,7 @@ impl Runtime {
             let mut retries_here = 0u64;
             loop {
                 let Some(slot_id) = active else {
-                    payload.reference_chunk(chunk as usize);
+                    payload = payload.with_problem(|p| p.reference_chunk(chunk as usize));
                     if !report.degraded {
                         report.degraded = true;
                         report.events.push(JobEvent::DegradedToReference {
@@ -661,11 +633,15 @@ impl Runtime {
                 let slot = pool.slot_mut(slot_id);
                 let counters_before = slot.device.counters;
                 let launches_before = slot.device.launch_stats;
-                let res = payload.try_chunk_on(
-                    &mut slot.device,
-                    chunk as usize,
-                    self.config.verify.as_ref(),
-                );
+                let res = payload
+                    .with_problem(|p| {
+                        p.try_chunk_on(
+                            &mut slot.device,
+                            chunk as usize,
+                            self.config.verify.as_ref(),
+                        )
+                    })
+                    .map(|advanced| payload = advanced);
                 // Attempted work is real work: accumulate its ledger and
                 // sanitizer findings whether or not the chunk committed.
                 report.counters += counters_delta(&counters_before, &slot.device.counters);
@@ -794,8 +770,9 @@ impl Runtime {
         pool: &DevicePool,
         active: Option<usize>,
     ) -> Checkpoint {
-        let (radius, weights, fusion, boundary, variant) = payload.plan_fields();
-        let (grid_dims, grid_halo, grid_data) = payload.grid_fields();
+        let (radius, weights, fusion, boundary, variant) =
+            payload.with_problem(|p| p.plan_fields());
+        let (grid_dims, grid_halo, grid_data) = payload.with_problem(|p| p.grid_fields());
         let slot0 = &pool.slot(0).device;
         Checkpoint {
             job: name.to_string(),
