@@ -622,8 +622,7 @@ mod tests {
     use super::*;
     use crate::dim::{try_run_applications, D1};
     use stencil_core::reference::run1d;
-    use stencil_core::Boundary;
-    use stencil_core::{assert_close_default, fuse1d, Grid1D};
+    use stencil_core::{assert_close_default, fuse1d, Boundary, Grid1D};
 
     fn check(kernel: &Kernel1D, n: usize, apps: usize, variant: VariantConfig) {
         let mut grid = Grid1D::new(n, kernel.radius());

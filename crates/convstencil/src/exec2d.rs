@@ -634,8 +634,7 @@ mod tests {
     use super::*;
     use crate::dim::{try_run_applications, D2};
     use stencil_core::reference::run2d;
-    use stencil_core::Boundary;
-    use stencil_core::{assert_close_default, fuse2d, Grid2D, Kernel2D};
+    use stencil_core::{assert_close_default, fuse2d, Boundary, Grid2D, Kernel2D};
 
     fn check_variant(kernel: &Kernel2D, m: usize, n: usize, apps: usize, variant: VariantConfig) {
         let mut grid = Grid2D::new(m, n, kernel.radius());

@@ -757,8 +757,7 @@ mod tests {
     use super::*;
     use crate::dim::{try_run_applications, D3};
     use stencil_core::reference::run3d;
-    use stencil_core::Boundary;
-    use stencil_core::{assert_close_default, Kernel3D};
+    use stencil_core::{assert_close_default, Boundary, Kernel3D};
 
     fn check(kernel: &Kernel3D, dims: (usize, usize, usize), apps: usize, variant: VariantConfig) {
         let (d, m, n) = dims;
