@@ -29,7 +29,8 @@ fn bench_transforms(c: &mut Criterion) {
 fn bench_planning(c: &mut Criterion) {
     let mut group = c.benchmark_group("planning");
     group.bench_function("scatter_lut_nk7", |b| {
-        let plan = Plan2D::new_2d(1024, 1024, 7, VariantConfig::conv_stencil());
+        let plan =
+            Plan2D::try_new_2d(1024, 1024, 7, VariantConfig::conv_stencil()).expect("valid plan");
         b.iter(|| plan.build_scatter_lut(black_box(VariantConfig::conv_stencil())))
     });
     group.bench_function("weight_matrices_nk7", |b| {

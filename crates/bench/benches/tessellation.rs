@@ -27,8 +27,8 @@ fn bench_simulated_pipeline(c: &mut Criterion) {
     let (m, n) = (128, 256);
     let mut grid = Grid2D::new(m, n, 3);
     grid.fill_random(3);
-    let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
-    let ext0 = exec.plan.build_ext(&grid);
+    let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).expect("valid plan");
+    let ext0 = exec.plan.try_build_ext(&grid).expect("grid matches plan");
     c.bench_function("simulated_convstencil_app_128x256", |b| {
         b.iter(|| {
             let mut dev = Device::a100();

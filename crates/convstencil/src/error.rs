@@ -1,8 +1,8 @@
 //! Typed errors for the ConvStencil pipeline.
 //!
-//! Every user-reachable failure mode has a variant here; the panicking
-//! entry points (`run`, `with_fusion`, `build_ext`, ...) are thin wrappers
-//! over the `try_*` twins that format these errors. Hand-rolled
+//! Every user-reachable failure mode has a variant here. The only
+//! panicking entry points, `ConvStencil::new` and `run`, are thin
+//! wrappers over `try_new` / `try_run` that format these errors. Hand-rolled
 //! `Display`/`Error` impls (thiserror-style) keep the workspace free of
 //! proc-macro dependencies in the offline build.
 

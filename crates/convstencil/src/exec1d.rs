@@ -5,14 +5,19 @@
 //! 8-group bands, `2⌈n_k/4⌉` MMAs each, producing `8(n_k+1)` contiguous
 //! outputs. One thread block covers 1024 outputs (Table 4's 1D block
 //! size) — 128 groups for `n_k = 7`.
+//!
+//! A 1D block is a 2D block with one input row: it runs the scatter,
+//! tessellation and write-back of `block.rs`. Only the variant-I transform
+//! and explicit staging stay here, because their warps differ.
 
+use crate::block::{self, Tiles};
 use crate::error::ConvStencilError;
 use crate::plan::LUT_SKIP;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::{WeightMatrices, FRAG_K};
 use stencil_core::Kernel1D;
-use tcu_sim::{conflict_free_pad, BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
+use tcu_sim::{conflict_free_pad, BlockCtx, BufferId, Device, Phase, INACTIVE};
 
 /// Geometry for the 1D pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,11 +48,7 @@ pub struct Plan1D {
 }
 
 impl Plan1D {
-    pub fn new(n: usize, nk: usize, variant: VariantConfig) -> Self {
-        Self::try_new(n, nk, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan1D::new`].
+    /// Plan the paper's 1D block (about 1024 outputs) for `n` outputs.
     pub fn try_new(n: usize, nk: usize, variant: VariantConfig) -> Result<Self, ConvStencilError> {
         if !(nk % 2 == 1 && (3..=7).contains(&nk)) {
             return Err(ConvStencilError::UnsupportedNk { nk });
@@ -119,11 +120,6 @@ impl Plan1D {
     }
 
     /// Build the extended array from a 1D grid.
-    pub fn build_ext(&self, grid: &stencil_core::Grid1D) -> Vec<f64> {
-        self.try_build_ext(grid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan1D::build_ext`].
     pub fn try_build_ext(&self, grid: &stencil_core::Grid1D) -> Result<Vec<f64>, ConvStencilError> {
         if grid.len() != self.n {
             return Err(ConvStencilError::ShapeMismatch {
@@ -164,24 +160,22 @@ pub struct Exec1D {
     pub weights: WeightMatrices,
     /// `(A shared address, B shared address)` per aligned read lane.
     lut: Vec<[u32; 2]>,
-    /// Non-zero kernel taps for the CUDA-core path.
-    taps: Vec<(usize, f64)>,
+    /// Non-zero kernel taps `(0, k, w)` for the CUDA-core path.
+    taps: Vec<(usize, usize, f64)>,
     /// Input column -> (in_a, group, offset).
-    colmap: Vec<(bool, usize, usize)>,
+    colmap: Vec<block::ColEntry>,
 }
 
 impl Exec1D {
-    pub fn new(kernel: &Kernel1D, n: usize, variant: VariantConfig) -> Self {
-        Self::try_new(kernel, n, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec1D::new`].
+    /// Build an executor for `kernel` on `n` outputs. The kernel is used
+    /// as-is (apply temporal fusion before constructing).
     pub fn try_new(
         kernel: &Kernel1D,
         n: usize,
         variant: VariantConfig,
     ) -> Result<Self, ConvStencilError> {
         let plan = Plan1D::try_new(n, kernel.nk(), variant)?;
+        block::check_block_groups(plan.block_groups)?;
         let weights = WeightMatrices::from_kernel1d(kernel);
         let nk = plan.nk;
         let mut lut = vec![[LUT_SKIP, LUT_SKIP]; plan.span_aligned];
@@ -221,24 +215,14 @@ impl Exec1D {
                 _ => LUT_SKIP,
             };
         }
-        let taps: Vec<(usize, f64)> = kernel
+        let taps = kernel
             .weights()
             .iter()
             .enumerate()
             .filter(|(_, &w)| w != 0.0)
-            .map(|(i, &w)| (i, w))
+            .map(|(i, &w)| (0, i, w))
             .collect();
-        let mut colmap = Vec::with_capacity(plan.span);
-        for c in 0..plan.span {
-            let g = c / (nk + 1);
-            let off = c % (nk + 1);
-            if off != nk && g < plan.block_groups {
-                colmap.push((true, g, off));
-            } else {
-                let cb = c - nk;
-                colmap.push((false, cb / (nk + 1), cb % (nk + 1)));
-            }
-        }
+        let colmap = block::colmap(plan.span, nk, plan.block_groups);
         Ok(Self {
             plan,
             variant,
@@ -273,24 +257,22 @@ impl Exec1D {
         verify_plan::verify_weights(&self.weights)
     }
 
-    /// Declare the padding columns and layout tail exempt from initcheck
-    /// (fragment k-chunk overreads and dirty-bits duplicate stores
-    /// legitimately touch them). No-op when the sanitizer is off.
-    fn declare_exempt(&self, ctx: &mut BlockCtx) {
+    /// The block's tile pair: one group row per column group.
+    fn tiles(&self) -> Tiles {
         let p = &self.plan;
-        for off in [p.a_off, p.b_off] {
-            for g in 0..p.block_groups {
-                ctx.sanitize_exempt(off + g * p.stride + p.raw_cols, p.pad);
-            }
-            let staged = p.block_groups * p.stride;
-            ctx.sanitize_exempt(off + staged, p.b_off - p.a_off - staged);
+        Tiles {
+            a: p.a_off,
+            b: p.b_off,
+            stride: p.stride,
+            groups: p.block_groups,
         }
     }
 
     /// One application: read `ext_in`, write interior of `ext_out`.
     ///
     /// The explicit variant (I) materializes the stencil2row matrices in
-    /// global scratch first; pass buffers from [`Exec1D::alloc_explicit`].
+    /// global scratch first; pass buffers from [`Exec1D::alloc_explicit`],
+    /// and `None` for every other variant.
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -298,13 +280,38 @@ impl Exec1D {
         ext_out: BufferId,
         explicit: Option<(BufferId, BufferId)>,
     ) -> Result<(), ConvStencilError> {
-        if self.variant.explicit_global {
-            let bufs = explicit.ok_or(ConvStencilError::ScratchMismatch { expected: true })?;
+        let explicit = block::check_scratch(self.variant, explicit)?;
+        if let Some(bufs) = explicit {
             self.run_transform(dev, ext_in, bufs)?;
-            self.run_compute(dev, ext_in, ext_out, Some(bufs))
-        } else {
-            self.run_compute(dev, ext_in, ext_out, None)
         }
+        let p = &self.plan;
+        let tiles = self.tiles();
+        dev.set_write_hint(p.block_groups * (p.nk + 1));
+        dev.try_launch(p.blocks, self.shared_len(), |bid, ctx| {
+            ctx.phase(Phase::SmemScatter);
+            block::exempt_padding(ctx, &tiles, p.raw_cols);
+            match explicit {
+                Some(bufs) => self.stage_from_global(ctx, bufs, bid),
+                None => {
+                    let lut_mode = self.variant.dirty_bits_lut;
+                    block::scatter_row(ctx, ext_in, p.read_col0(bid), &self.lut, 0, lut_mode);
+                }
+            }
+            let out = block::Out {
+                buf: ext_out,
+                base: p.lc,
+                row_stride: 0,
+                n: p.n,
+                x0: 0,
+                y0: bid * p.block_groups * (p.nk + 1),
+            };
+            if self.variant.use_tcu {
+                block::compute_tcu(ctx, &tiles, &self.weights, p.wa_off, 1, &out);
+            } else {
+                block::compute_cuda(ctx, &tiles, &self.colmap, &self.taps, p.nk, 1, &out);
+            }
+        })?;
+        Ok(())
     }
 
     pub fn alloc_explicit(&self, dev: &mut Device) -> (BufferId, BufferId) {
@@ -315,6 +322,9 @@ impl Exec1D {
         )
     }
 
+    /// Variant-I transform. It stays 1D-specific: a 1D stencil2row row is
+    /// one group of `n_k` contiguous inputs, so the addressing and the
+    /// 4096-element chunks differ from the 2D/3D transform.
     fn run_transform(
         &self,
         dev: &mut Device,
@@ -375,85 +385,13 @@ impl Exec1D {
         Ok(())
     }
 
-    fn run_compute(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<(BufferId, BufferId)>,
-    ) -> Result<(), ConvStencilError> {
-        let p = &self.plan;
-        dev.set_write_hint(p.block_groups * (p.nk + 1));
-        dev.try_launch(p.blocks, self.shared_len(), |bid, ctx| {
-            ctx.phase(Phase::SmemScatter);
-            match explicit {
-                Some(bufs) => self.stage_from_global(ctx, bufs, bid),
-                None => self.scatter(ctx, ext_in, bid),
-            }
-            if self.variant.use_tcu {
-                self.compute_tcu(ctx, ext_out, bid);
-            } else {
-                self.compute_cuda(ctx, ext_out, bid);
-            }
-        })?;
-        Ok(())
-    }
-
-    fn scatter(&self, ctx: &mut BlockCtx, ext_in: BufferId, bid: usize) {
-        self.declare_exempt(ctx);
-        let p = &self.plan;
-        let read0 = p.read_col0(bid);
-        let mut gaddrs = [INACTIVE; 32];
-        let mut vals = [0.0f64; 32];
-        let mut a_addrs = [0usize; 32];
-        let mut a_vals = [0.0f64; 32];
-        let mut b_addrs = [0usize; 32];
-        let mut b_vals = [0.0f64; 32];
-        let mut i = 0usize;
-        while i < p.span_aligned {
-            let lanes = 32.min(p.span_aligned - i);
-            for (l, a) in gaddrs.iter_mut().enumerate() {
-                *a = if l < lanes { read0 + i + l } else { INACTIVE };
-            }
-            ctx.gmem_read_warp(ext_in, &gaddrs[..lanes], &mut vals[..lanes]);
-            if self.variant.dirty_bits_lut {
-                ctx.count_int(2 * lanes as u64);
-            } else {
-                ctx.count_divmod(2 * lanes as u64);
-                ctx.count_branch(2 * lanes as u64);
-                ctx.count_int(4 * lanes as u64);
-            }
-            let (mut na, mut nb) = (0usize, 0usize);
-            for l in 0..lanes {
-                let [a, b] = self.lut[i + l];
-                if a != LUT_SKIP {
-                    a_addrs[na] = a as usize;
-                    a_vals[na] = vals[l];
-                    na += 1;
-                }
-                if b != LUT_SKIP {
-                    b_addrs[nb] = b as usize;
-                    b_vals[nb] = vals[l];
-                    nb += 1;
-                }
-            }
-            if na > 0 {
-                ctx.smem_store(&a_addrs[..na], &a_vals[..na]);
-            }
-            if nb > 0 {
-                ctx.smem_store(&b_addrs[..nb], &b_vals[..nb]);
-            }
-            i += lanes;
-        }
-    }
-
+    /// Variant-I staging. It stays 1D-specific: the block's group rows
+    /// are one contiguous global span, so its 32-lane stores pack lanes
+    /// across group-row boundaries, unlike the per-row 2D/3D copy.
     fn stage_from_global(&self, ctx: &mut BlockCtx, bufs: (BufferId, BufferId), bid: usize) {
-        self.declare_exempt(ctx);
         let p = &self.plan;
         let nk = p.nk;
         let g0 = bid * p.block_groups;
-        // Read a contiguous span of both matrices and store rows into the
-        // strided shared layout.
         let mut vals = vec![0.0f64; p.block_groups * nk];
         let mut addrs = [0usize; 32];
         let mut avals = [0.0f64; 32];
@@ -476,119 +414,6 @@ impl Exec1D {
                 ctx.smem_store(&addrs[..lane], &avals[..lane]);
             }
         }
-    }
-
-    fn stage_weight_frags(&self, ctx: &mut BlockCtx) -> (Vec<FragB>, Vec<FragB>) {
-        let p = &self.plan;
-        let w = &self.weights;
-        let mut addrs = [0usize; 32];
-        for (off, data) in [(p.wa_off, &w.a), (p.wb_off, &w.b)] {
-            let mut i = 0;
-            while i < data.len() {
-                let lanes = 32.min(data.len() - i);
-                for (l, a) in addrs.iter_mut().enumerate().take(lanes) {
-                    *a = off + i + l;
-                }
-                ctx.smem_store(&addrs[..lanes], &data[i..i + lanes]);
-                i += lanes;
-            }
-        }
-        let chunks = w.krows / 4;
-        (
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(p.wa_off + 4 * k * 8, 8))
-                .collect(),
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(p.wb_off + 4 * k * 8, 8))
-                .collect(),
-        )
-    }
-
-    fn compute_tcu(&self, ctx: &mut BlockCtx, ext_out: BufferId, bid: usize) {
-        let p = &self.plan;
-        let nk = p.nk;
-        // Weight staging is shared-memory traffic: scatter phase.
-        let (wa, wb) = self.stage_weight_frags(ctx);
-        ctx.phase(Phase::Tessellation);
-        let bands = p.block_groups / 8;
-        // 1D plans cap n_k at 7, so a band's 8(nk+1) outputs fit 64 f64
-        // of stack — no per-block heap buffer.
-        let mut band_buf = [0.0f64; 64];
-        let out_vals = &mut band_buf[..8 * (nk + 1)];
-        for band in 0..bands {
-            let mut acc = FragAcc::zero();
-            let a_base = p.a_off + band * 8 * p.stride;
-            for (k, f) in wa.iter().enumerate() {
-                let frag = ctx.load_frag_a(a_base + 4 * k, p.stride);
-                ctx.dmma(&frag, f, &mut acc);
-            }
-            let b_base = p.b_off + band * 8 * p.stride;
-            for (k, f) in wb.iter().enumerate() {
-                let frag = ctx.load_frag_a(b_base + 4 * k, p.stride);
-                ctx.dmma(&frag, f, &mut acc);
-            }
-            for ga in 0..8 {
-                for j in 0..=nk {
-                    out_vals[ga * (nk + 1) + j] = acc.get(ga, j);
-                }
-            }
-            let y0 = (bid * p.block_groups + band * 8) * (nk + 1);
-            self.write_row(ctx, ext_out, y0, out_vals);
-        }
-    }
-
-    fn compute_cuda(&self, ctx: &mut BlockCtx, ext_out: BufferId, bid: usize) {
-        let p = &self.plan;
-        ctx.phase(Phase::Tessellation);
-        let out_width = p.block_groups * (p.nk + 1);
-        let mut addrs = [0usize; 32];
-        let mut vals = [0.0f64; 32];
-        let mut sums = [0.0f64; 32];
-        let mut yl0 = 0usize;
-        while yl0 < out_width {
-            let lanes = 32.min(out_width - yl0);
-            sums[..lanes].fill(0.0);
-            for &(ki, w) in &self.taps {
-                for l in 0..lanes {
-                    let (in_a, g, off) = self.colmap[yl0 + l + ki];
-                    let base = if in_a { p.a_off } else { p.b_off };
-                    addrs[l] = base + g * p.stride + off;
-                }
-                ctx.smem_load(&addrs[..lanes], &mut vals[..lanes]);
-                ctx.count_fma(lanes as u64);
-                ctx.count_int(lanes as u64);
-                for l in 0..lanes {
-                    sums[l] += w * vals[l];
-                }
-            }
-            self.write_row(ctx, ext_out, bid * out_width + yl0, &sums[..lanes]);
-            yl0 += lanes;
-        }
-    }
-
-    fn write_row(&self, ctx: &mut BlockCtx, ext_out: BufferId, y0: usize, vals: &[f64]) {
-        let prev = ctx.phase(Phase::Epilogue);
-        let p = &self.plan;
-        let mut addrs = [INACTIVE; 32];
-        let mut i = 0usize;
-        while i < vals.len() {
-            let lanes = 32.min(vals.len() - i);
-            let mut any = false;
-            for l in 0..lanes {
-                let y = y0 + i + l;
-                addrs[l] = if y < p.n {
-                    any = true;
-                    p.lc + y
-                } else {
-                    INACTIVE
-                };
-            }
-            if any {
-                ctx.gmem_write_warp(ext_out, &addrs[..lanes], &vals[i..i + lanes]);
-            }
-            i += lanes;
-        }
-        ctx.phase(prev);
     }
 }
 
@@ -627,9 +452,9 @@ mod tests {
     fn check(kernel: &Kernel1D, n: usize, apps: usize, variant: VariantConfig) {
         let mut grid = Grid1D::new(n, kernel.radius());
         grid.fill_random(8);
-        let exec = Exec1D::new(kernel, n, variant);
+        let exec = Exec1D::try_new(kernel, n, variant).unwrap();
         let mut dev = Device::a100();
-        let ext0 = exec.plan.build_ext(&grid);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         let ext =
             try_run_applications::<D1>(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid1D::new(n, kernel.radius());
@@ -668,9 +493,9 @@ mod tests {
         grid.fill_random(77);
         let want = run1d(&grid, &kernel, 1).interior();
         for (name, variant) in VariantConfig::breakdown() {
-            let exec = Exec1D::new(&kernel, n, variant);
+            let exec = Exec1D::try_new(&kernel, n, variant).unwrap();
             let mut dev = Device::a100();
-            let ext0 = exec.plan.build_ext(&grid);
+            let ext0 = exec.plan.try_build_ext(&grid).unwrap();
             let ext =
                 try_run_applications::<D1>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid1D::new(n, kernel.radius());
@@ -686,18 +511,37 @@ mod tests {
     fn mma_count_is_2_ceil_nk_over_4_per_band() {
         let kernel = fuse1d(&Kernel1D::new(vec![0.25, 0.5, 0.25]), 3); // nk=7
         let n = 8192; // exactly 8 blocks of 128 groups
-        let exec = Exec1D::new(&kernel, n, VariantConfig::conv_stencil());
+        let exec = Exec1D::try_new(&kernel, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid1D::new(n, 3);
-        let ext0 = exec.plan.build_ext(&grid);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         try_run_applications::<D1>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         // Bands = n / (8 * (nk+1)) = 128; each 2*ceil(7/4) = 4 MMAs.
         assert_eq!(dev.counters.dmma_ops, (8192 / 64) * 4);
     }
 
     #[test]
+    fn scratch_must_match_the_variant() {
+        let kernel = Kernel1D::new(vec![0.25, 0.5, 0.25]);
+        let mut dev = Device::a100();
+        let ext = dev.alloc(4096);
+        let implicit = Exec1D::try_new(&kernel, 1000, VariantConfig::conv_stencil()).unwrap();
+        let scratch = implicit.alloc_explicit(&mut dev);
+        assert_eq!(
+            implicit.try_run_application(&mut dev, ext, ext, Some(scratch)),
+            Err(ConvStencilError::ScratchMismatch { expected: false })
+        );
+        let explicit = Exec1D::try_new(&kernel, 1000, VariantConfig::explicit_cuda()).unwrap();
+        assert_eq!(
+            explicit.try_run_application(&mut dev, ext, ext, None),
+            Err(ConvStencilError::ScratchMismatch { expected: true })
+        );
+        assert_eq!(dev.launch_stats.kernel_launches, 0);
+    }
+
+    #[test]
     fn block_covers_1024_outputs_at_nk7() {
-        let plan = Plan1D::new(100_000, 7, VariantConfig::conv_stencil());
+        let plan = Plan1D::try_new(100_000, 7, VariantConfig::conv_stencil()).unwrap();
         assert_eq!(plan.block_groups * (plan.nk + 1), 1024);
     }
 }

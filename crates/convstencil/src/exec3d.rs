@@ -11,14 +11,19 @@
 //! non-zero weight; per §4.2 those "small planes" are computed on the
 //! simulated CUDA cores and added to the Tensor-Core result, while the
 //! dense center plane goes through dual tessellation.
+//!
+//! Staging, weight fragments, the tessellation band and the write-back are
+//! the 2D steps of `block.rs`, applied per plane slot (3D only adds a
+//! plane offset); this file holds the z-window and the hybrid planes.
 
+use crate::block::{self, Block2D, Explicit, Source, Tiles, WeightFrags};
 use crate::error::ConvStencilError;
-use crate::plan::{Plan2D, ScatterLut, LUT_SKIP};
+use crate::plan::{Plan2D, ScatterLut};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::WeightMatrices;
 use stencil_core::{Grid3D, Kernel3D};
-use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
+use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, Phase};
 
 /// How one kernel plane is computed.
 #[derive(Debug, Clone)]
@@ -53,7 +58,7 @@ pub struct Exec3D {
     weight_off: Vec<usize>,
     shared_total: usize,
     /// Input column -> (in_a, group, offset) for the scalar path.
-    colmap: Vec<(bool, usize, usize)>,
+    colmap: Vec<block::ColEntry>,
     /// Maximum non-zero taps treated as a "small plane".
     pub scalar_plane_threshold: usize,
 }
@@ -71,11 +76,7 @@ pub struct ExplicitBuffers3D {
 }
 
 impl Exec3D {
-    pub fn new(kernel: &Kernel3D, d: usize, m: usize, n: usize, variant: VariantConfig) -> Self {
-        Self::try_new(kernel, d, m, n, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec3D::new`].
+    /// Build an executor for `kernel` on a `d x m x n` interior.
     pub fn try_new(
         kernel: &Kernel3D,
         d: usize,
@@ -91,6 +92,7 @@ impl Exec3D {
             });
         }
         let plane_plan = Plan2D::try_new_3d_plane(m, n, nk, variant)?;
+        block::check_block_groups(plane_plan.block_groups)?;
         let lut = plane_plan.build_scatter_lut(variant);
         let scalar_plane_threshold = 2;
         let mut planes = Vec::with_capacity(nk);
@@ -148,18 +150,7 @@ impl Exec3D {
         }
         let shared_total = cursor.max(64);
         // Scalar-path column map (same for every plane).
-        let mut colmap = Vec::with_capacity(plane_plan.span);
-        for c in 0..plane_plan.span {
-            let entry = match crate::stencil2row::map_a(0, c, nk) {
-                Some((g, col)) if g < plane_plan.block_groups => (true, g, col),
-                _ => {
-                    let (g, col) = crate::stencil2row::map_b(0, c, nk)
-                        .expect("column dropped by both stencil2row matrices");
-                    (false, g, col)
-                }
-            };
-            colmap.push(entry);
-        }
+        let colmap = block::colmap(plane_plan.span, nk, plane_plan.block_groups);
         Ok(Self {
             plane_plan,
             variant,
@@ -207,142 +198,16 @@ impl Exec3D {
         Ok(())
     }
 
-    /// Declare one plane slot's padding columns and layout tail exempt
-    /// from initcheck (fragment k-chunk overreads and dirty-bits
-    /// duplicate stores legitimately touch them). No-op when the
-    /// sanitizer is off.
-    fn declare_plane_exempt(&self, ctx: &mut BlockCtx, base_off: usize, tile_rows: usize) {
-        let lay = &self.plane_plan.layout;
-        let used = self.nk * tile_rows;
-        for off in [base_off + lay.a_off, base_off + lay.b_off] {
-            for g in 0..lay.tile_rows {
-                ctx.sanitize_exempt(off + g * lay.stride + used, lay.stride - used);
-            }
-            let staged = lay.tile_rows * lay.stride;
-            ctx.sanitize_exempt(off + staged, lay.b_off - lay.a_off - staged);
-        }
-    }
-
     /// Allocate variant-I scratch: per-plane stencil2row matrices in
     /// global memory.
     pub fn alloc_explicit(&self, dev: &mut Device) -> ExplicitBuffers3D {
-        let p = &self.plane_plan;
-        let rows = p.blocks_g * p.block_groups;
-        let cols = p.nk * p.ext_rows;
+        let (rows, cols) = Explicit::dims(&self.plane_plan);
         let len = self.ext_planes() * rows * cols;
         ExplicitBuffers3D {
             s2r_a: dev.alloc(len),
             s2r_b: dev.alloc(len),
             rows,
             cols,
-        }
-    }
-
-    /// Variant-I transform kernel: materialize the stencil2row matrices of
-    /// every extended plane in global memory (scattered writes, div/mod
-    /// addressing — the costs the explicit layout pays).
-    fn run_transform_kernel(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        bufs: ExplicitBuffers3D,
-    ) -> Result<(), ConvStencilError> {
-        let p = &self.plane_plan;
-        let nk = self.nk;
-        let ps = self.plane_size();
-        let rows_per_block = 32usize;
-        let blocks_per_plane = p.ext_rows.div_ceil(rows_per_block);
-        let num_blocks = self.ext_planes() * blocks_per_plane;
-        let first = p.lc - p.radius;
-        dev.set_write_hint(rows_per_block * 2 * p.span);
-        dev.try_launch(num_blocks, 64, |bid, ctx| {
-            ctx.phase(Phase::LayoutTransform);
-            let plane = bid / blocks_per_plane;
-            let chunk = bid % blocks_per_plane;
-            let r0 = chunk * rows_per_block;
-            let r1 = (r0 + rows_per_block).min(p.ext_rows);
-            let sec = plane * bufs.rows * bufs.cols;
-            let mut a_addrs = [INACTIVE; 32];
-            let mut b_addrs = [INACTIVE; 32];
-            let mut vals32 = [0.0f64; 32];
-            let mut vals = vec![0.0f64; p.ext_cols];
-            for r in r0..r1 {
-                ctx.gmem_read_span_into(ext_in, plane * ps + r * p.ext_cols, &mut vals);
-                let mut lane = 0usize;
-                for (c, &v) in vals.iter().enumerate() {
-                    let Some(c_rel) = c.checked_sub(first) else {
-                        continue;
-                    };
-                    ctx.count_divmod(2);
-                    ctx.count_branch(2);
-                    ctx.count_int(4);
-                    a_addrs[lane] = match crate::stencil2row::map_a(r, c_rel, nk) {
-                        Some((g, col)) if g < bufs.rows => sec + g * bufs.cols + col,
-                        _ => INACTIVE,
-                    };
-                    b_addrs[lane] = match crate::stencil2row::map_b(r, c_rel, nk) {
-                        Some((g, col)) if g < bufs.rows => sec + g * bufs.cols + col,
-                        _ => INACTIVE,
-                    };
-                    vals32[lane] = v;
-                    lane += 1;
-                    if lane == 32 {
-                        ctx.gmem_write_warp(bufs.s2r_a, &a_addrs, &vals32);
-                        ctx.gmem_write_warp(bufs.s2r_b, &b_addrs, &vals32);
-                        lane = 0;
-                    }
-                }
-                if lane > 0 {
-                    ctx.gmem_write_warp(bufs.s2r_a, &a_addrs[..lane], &vals32[..lane]);
-                    ctx.gmem_write_warp(bufs.s2r_b, &b_addrs[..lane], &vals32[..lane]);
-                }
-            }
-        })?;
-        Ok(())
-    }
-
-    /// Variant-I staging: copy the block's tile rows of a plane's global
-    /// stencil2row matrices into shared.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_plane_from_global(
-        &self,
-        ctx: &mut BlockCtx,
-        bufs: ExplicitBuffers3D,
-        plane: usize,
-        base_off: usize,
-        bx: usize,
-        bg: usize,
-        tile_rows: usize,
-    ) {
-        self.declare_plane_exempt(ctx, base_off, tile_rows);
-        let p = &self.plane_plan;
-        let lay = &p.layout;
-        let sec = plane * bufs.rows * bufs.cols;
-        let col0 = p.nk * (bx * p.block_rows);
-        let width = (p.nk * tile_rows).min(bufs.cols - col0);
-        let mut addrs = [0usize; 32];
-        let mut vals = vec![0.0f64; width];
-        for ga in 0..p.block_groups {
-            let g = bg * p.block_groups + ga;
-            if g >= bufs.rows {
-                continue;
-            }
-            for (buf, off) in [
-                (bufs.s2r_a, base_off + lay.a_off),
-                (bufs.s2r_b, base_off + lay.b_off),
-            ] {
-                ctx.gmem_read_span_into(buf, sec + g * bufs.cols + col0, &mut vals);
-                ctx.count_int(width as u64);
-                let mut i = 0;
-                while i < width {
-                    let lanes = 32.min(width - i);
-                    for (l, a) in addrs[..lanes].iter_mut().enumerate() {
-                        *a = off + ga * lay.stride + i + l;
-                    }
-                    ctx.smem_store(&addrs[..lanes], &vals[i..i + lanes]);
-                    i += lanes;
-                }
-            }
         }
     }
 
@@ -357,11 +222,6 @@ impl Exec3D {
     }
 
     /// Build the 3D extended array from a grid.
-    pub fn build_ext(&self, grid: &Grid3D) -> Vec<f64> {
-        self.try_build_ext(grid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec3D::build_ext`].
     pub fn try_build_ext(&self, grid: &Grid3D) -> Result<Vec<f64>, ConvStencilError> {
         if (grid.depth(), grid.rows(), grid.cols())
             != (self.d, self.plane_plan.m, self.plane_plan.n)
@@ -413,274 +273,103 @@ impl Exec3D {
         ext_out: BufferId,
         explicit: Option<ExplicitBuffers3D>,
     ) -> Result<(), ConvStencilError> {
-        if self.variant.explicit_global {
-            let bufs = explicit.ok_or(ConvStencilError::ScratchMismatch { expected: true })?;
-            self.run_transform_kernel(dev, ext_in, bufs)?;
-        } else if explicit.is_some() {
-            return Err(ConvStencilError::ScratchMismatch { expected: false });
-        }
         let p = &self.plane_plan;
+        let explicit = block::check_scratch(self.variant, explicit)?.map(|b| Explicit {
+            bufs: [b.s2r_a, b.s2r_b],
+            rows: b.rows,
+            cols: b.cols,
+        });
+        if let Some(ex) = explicit {
+            block::run_transform(dev, ext_in, p, self.ext_planes(), ex)?;
+        }
         let blocks_per_plane = p.num_blocks();
-        let z_blocks = self.d.div_ceil(self.bz);
-        let num_blocks = z_blocks * blocks_per_plane;
-        let ps = self.plane_size();
+        let num_blocks = self.d.div_ceil(self.bz) * blocks_per_plane;
         dev.set_write_hint(self.bz * p.block_rows * p.block_groups * (p.nk + 1));
         dev.try_launch(num_blocks, self.shared_len(), |bid, ctx| {
-            let zb = bid / blocks_per_plane;
-            let rem = bid % blocks_per_plane;
-            let bx = rem / p.blocks_g;
-            let bg = rem % p.blocks_g;
-            let rows_here = p.block_rows.min(p.m - bx * p.block_rows);
-            let tile_rows = rows_here + self.nk - 1;
-            let z0 = zb * self.bz;
+            let blk = Block2D::new(p, bid % blocks_per_plane);
+            let z0 = bid / blocks_per_plane * self.bz;
             let planes_here = self.bz.min(self.d - z0);
             ctx.phase(Phase::SmemScatter);
             // Stage the z-window's input planes once; every output plane
             // of the block reuses them.
             for slot in 0..planes_here + self.nk - 1 {
-                match explicit {
-                    Some(bufs) => self.stage_plane_from_global(
-                        ctx,
-                        bufs,
-                        z0 + slot,
-                        self.slot_off[slot],
-                        bx,
-                        bg,
-                        tile_rows,
-                    ),
-                    None => self.scatter_plane(
-                        ctx,
-                        ext_in,
-                        (z0 + slot) * ps,
-                        self.slot_off[slot],
-                        bx,
-                        bg,
-                        tile_rows,
-                    ),
-                }
+                let src = match explicit {
+                    Some(ex) => Source::Explicit(ex, z0 + slot),
+                    None => Source::Input(ext_in, z0 + slot),
+                };
+                let base = self.slot_off[slot];
+                block::stage_tiles(ctx, p, &self.lut, self.variant, src, base, blk);
             }
             // Stage weight fragments for the MMA planes (once per block).
-            let mut frags: Vec<(usize, Vec<FragB>, Vec<FragB>)> = Vec::new();
+            let mut frags: Vec<(usize, WeightFrags)> = Vec::new();
             for dz in 0..self.nk {
                 if let PlaneKind::Mma(w) = &self.planes[dz] {
-                    let (wa, wb) = self.stage_weights(ctx, w, self.weight_off[dz]);
-                    frags.push((dz, wa, wb));
+                    frags.push((dz, block::stage_weights(ctx, w, self.weight_off[dz])));
                 }
             }
             ctx.phase(Phase::Tessellation);
             for z_local in 0..planes_here {
-                self.compute(
-                    ctx,
-                    ext_out,
-                    z0 + z_local,
-                    z_local,
-                    bx,
-                    bg,
-                    rows_here,
-                    &frags,
-                );
+                let out = blk.out(p, ext_out, z0 + z_local + self.radius);
+                self.compute(ctx, &out, z_local, blk.rows, &frags);
             }
         })?;
         Ok(())
     }
 
-    /// Scatter one extended input plane into the tile pair at `base_off`.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_plane(
-        &self,
-        ctx: &mut BlockCtx,
-        ext_in: BufferId,
-        plane_base: usize,
-        base_off: usize,
-        bx: usize,
-        bg: usize,
-        tile_rows: usize,
-    ) {
-        self.declare_plane_exempt(ctx, base_off, tile_rows);
-        let p = &self.plane_plan;
-        let read0 = p.read_col0(bg);
-        let mut gaddrs = [INACTIVE; 32];
-        let mut vals = [0.0f64; 32];
-        let mut a_addrs = [0usize; 32];
-        let mut a_vals = [0.0f64; 32];
-        let mut b_addrs = [0usize; 32];
-        let mut b_vals = [0.0f64; 32];
-        for t in 0..tile_rows {
-            let row_base = plane_base + (bx * p.block_rows + t) * p.ext_cols + read0;
-            let mut i = 0usize;
-            while i < p.span_aligned {
-                let lanes = 32.min(p.span_aligned - i);
-                for (l, a) in gaddrs.iter_mut().enumerate() {
-                    *a = if l < lanes {
-                        row_base + i + l
-                    } else {
-                        INACTIVE
-                    };
-                }
-                ctx.gmem_read_warp(ext_in, &gaddrs[..lanes], &mut vals[..lanes]);
-                if self.variant.dirty_bits_lut {
-                    ctx.count_int(2 * lanes as u64);
-                } else {
-                    ctx.count_divmod(2 * lanes as u64);
-                    ctx.count_branch(2 * lanes as u64);
-                    ctx.count_int(4 * lanes as u64);
-                }
-                let (mut na, mut nb) = (0usize, 0usize);
-                for l in 0..lanes {
-                    let [a, b] = self.lut.get(t, i + l);
-                    if a != LUT_SKIP {
-                        a_addrs[na] = base_off + a as usize;
-                        a_vals[na] = vals[l];
-                        na += 1;
-                    }
-                    if b != LUT_SKIP {
-                        b_addrs[nb] = base_off + b as usize;
-                        b_vals[nb] = vals[l];
-                        nb += 1;
-                    }
-                }
-                if na > 0 {
-                    ctx.smem_store(&a_addrs[..na], &a_vals[..na]);
-                }
-                if nb > 0 {
-                    ctx.smem_store(&b_addrs[..nb], &b_vals[..nb]);
-                }
-                i += lanes;
-            }
-        }
+    /// Tiles of input-plane slot `slot` of the z-window.
+    fn slot(&self, slot: usize) -> Tiles {
+        Tiles::of(&self.plane_plan.layout, self.slot_off[slot])
     }
 
-    fn stage_weights(
-        &self,
-        ctx: &mut BlockCtx,
-        w: &WeightMatrices,
-        off: usize,
-    ) -> (Vec<FragB>, Vec<FragB>) {
-        let wa_off = off;
-        let wb_off = off + w.krows * 8;
-        let mut addrs = [0usize; 32];
-        for (o, data) in [(wa_off, &w.a), (wb_off, &w.b)] {
-            let mut i = 0;
-            while i < data.len() {
-                let lanes = 32.min(data.len() - i);
-                for (l, a) in addrs[..lanes].iter_mut().enumerate() {
-                    *a = o + i + l;
-                }
-                ctx.smem_store(&addrs[..lanes], &data[i..i + lanes]);
-                i += lanes;
-            }
-        }
-        let chunks = w.krows / 4;
-        (
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(wa_off + 4 * k * 8, 8))
-                .collect(),
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(wb_off + 4 * k * 8, 8))
-                .collect(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Compute one output plane of a block: per row and 8-group band, the
+    /// MMA planes' dual tessellations accumulate in one fragment (one
+    /// store per output, not one per plane), then the scalar planes'
+    /// CUDA-core taps are added to the unpacked band (§4.2 hybrid) before
+    /// it is written back. The scalar taps issue 32-lane warps over each
+    /// band, not over the whole block row as the 2D CUDA-core path does.
     fn compute(
         &self,
         ctx: &mut BlockCtx,
-        ext_out: BufferId,
-        z: usize,
+        out: &block::Out,
         z_local: usize,
-        bx: usize,
-        bg: usize,
-        rows_here: usize,
-        frags: &[(usize, Vec<FragB>, Vec<FragB>)],
+        rows: usize,
+        frags: &[(usize, WeightFrags)],
     ) {
         let p = &self.plane_plan;
-        let lay = &p.layout;
         let nk = self.nk;
-        let ps = self.plane_size();
-        let bands = p.block_groups / 8;
-        let band_width = 8 * (nk + 1);
-        assert!(band_width <= crate::exec2d::MAX_BAND_F64);
-        let mut band_buf = [0.0f64; crate::exec2d::MAX_BAND_F64];
-        let out_vals = &mut band_buf[..band_width];
-        let mut addrs = [0usize; 32];
-        let mut lvals = [0.0f64; 32];
-        for xr in 0..rows_here {
-            for band in 0..bands {
-                // MMA planes accumulate in one fragment.
+        let stride = p.layout.stride;
+        let mut band_buf = [0.0f64; block::MAX_BAND_F64];
+        let band_vals = &mut band_buf[..8 * (nk + 1)];
+        for xr in 0..rows {
+            for band in 0..p.block_groups / 8 {
                 let mut acc = FragAcc::zero();
-                for (dz, wa, wb) in frags {
-                    let off = self.slot_off[z_local + *dz];
-                    let a_base = off + lay.a_off + band * 8 * lay.stride + nk * xr;
-                    for (k, f) in wa.iter().enumerate() {
-                        let frag = ctx.load_frag_a(a_base + 4 * k, lay.stride);
-                        ctx.dmma(&frag, f, &mut acc);
-                    }
-                    let b_base = off + lay.b_off + band * 8 * lay.stride + nk * xr;
-                    for (k, f) in wb.iter().enumerate() {
-                        let frag = ctx.load_frag_a(b_base + 4 * k, lay.stride);
-                        ctx.dmma(&frag, f, &mut acc);
-                    }
+                for (dz, f) in frags {
+                    let tiles = self.slot(z_local + dz);
+                    block::tessellate(ctx, &tiles, band * 8 * stride + nk * xr, f, &mut acc);
                 }
-                for ga in 0..8 {
-                    for j in 0..=nk {
-                        out_vals[ga * (nk + 1) + j] = acc.get(ga, j);
-                    }
-                }
-                // Scalar (small) planes: CUDA-core taps over the shared
-                // tiles, added into the same results (§4.2 hybrid).
-                let yband = (band * 8) * (nk + 1);
+                block::unpack_band(&acc, nk, band_vals);
+                let yband = band * 8 * (nk + 1);
                 for (dz, plane) in self.planes.iter().enumerate() {
                     let PlaneKind::Scalar(taps) = plane else {
                         continue;
                     };
-                    let off = self.slot_off[z_local + dz];
+                    let tiles = self.slot(z_local + dz);
                     for &(kx, ky, w) in taps {
-                        let t = xr + kx;
-                        let mut i = 0usize;
-                        while i < band_width {
-                            let lanes = 32.min(band_width - i);
-                            for l in 0..lanes {
-                                let c = yband + i + l + ky;
-                                let (in_a, g, col) = self.colmap[c];
-                                let base = if in_a { lay.a_off } else { lay.b_off };
-                                addrs[l] = off + base + g * lay.stride + nk * t + col;
-                            }
-                            ctx.smem_load(&addrs[..lanes], &mut lvals[..lanes]);
-                            ctx.count_fma(lanes as u64);
-                            ctx.count_int(lanes as u64);
-                            for l in 0..lanes {
-                                out_vals[i + l] += w * lvals[l];
-                            }
-                            i += lanes;
+                        for (k, chunk) in band_vals.chunks_mut(32).enumerate() {
+                            let c0 = yband + 32 * k + ky;
+                            block::tap_warp(
+                                ctx,
+                                &tiles,
+                                &self.colmap,
+                                nk * (xr + kx),
+                                c0,
+                                w,
+                                chunk,
+                            );
                         }
                     }
                 }
-                // Write back into the output plane.
-                let prev = ctx.phase(Phase::Epilogue);
-                let x = bx * p.block_rows + xr;
-                let ext_row = x + p.lr;
-                let y0 = (bg * p.block_groups + band * 8) * (nk + 1);
-                let out_plane = (z + self.radius) * ps;
-                let mut i = 0usize;
-                let mut waddrs = [INACTIVE; 32];
-                while i < band_width {
-                    let lanes = 32.min(band_width - i);
-                    let mut any = false;
-                    for l in 0..lanes {
-                        let y = y0 + i + l;
-                        waddrs[l] = if y < p.n {
-                            any = true;
-                            out_plane + ext_row * p.ext_cols + p.lc + y
-                        } else {
-                            INACTIVE
-                        };
-                    }
-                    if any {
-                        ctx.gmem_write_warp(ext_out, &waddrs[..lanes], &out_vals[i..i + lanes]);
-                    }
-                    i += lanes;
-                }
-                ctx.phase(prev);
+                block::write_back(ctx, out, xr, yband, band_vals);
             }
         }
     }
@@ -763,9 +452,9 @@ mod tests {
         let (d, m, n) = dims;
         let mut grid = Grid3D::new(d, m, n, kernel.radius());
         grid.fill_random(5);
-        let exec = Exec3D::new(kernel, d, m, n, variant);
+        let exec = Exec3D::try_new(kernel, d, m, n, variant).unwrap();
         let mut dev = Device::a100();
-        let ext0 = exec.build_ext(&grid);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
         let ext =
             try_run_applications::<D3>(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid3D::new(d, m, n, kernel.radius());
@@ -794,10 +483,10 @@ mod tests {
     fn heat3d_uses_both_tcu_and_cuda_paths() {
         // §4.2: small planes on CUDA cores, the center plane on TCUs.
         let k = Kernel3D::star(0.4, &[0.1]);
-        let exec = Exec3D::new(&k, 8, 8, 64, VariantConfig::conv_stencil());
+        let exec = Exec3D::try_new(&k, 8, 8, 64, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid3D::new(8, 8, 64, 1);
-        let ext0 = exec.build_ext(&grid);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
         try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         assert!(dev.counters.dmma_ops > 0, "center plane must use MMAs");
         assert!(
@@ -810,10 +499,10 @@ mod tests {
     fn box3d_mma_count_is_three_planes_of_2d() {
         let k = Kernel3D::box_uniform(1); // nk = 3
         let (d, m, n) = (8, 16, 64); // divisible by block 8 x 64
-        let exec = Exec3D::new(&k, d, m, n, VariantConfig::conv_stencil());
+        let exec = Exec3D::try_new(&k, d, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid3D::new(d, m, n, 1);
-        let ext0 = exec.build_ext(&grid);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
         try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         // Per output plane: mn/(8*4) tessellations x 2*ceil(9/4)=6 MMAs,
         // once per input plane (3); times d output planes.
@@ -824,11 +513,11 @@ mod tests {
     #[test]
     fn cuda_variant_runs_all_planes_scalar() {
         let k = Kernel3D::box_uniform(1);
-        let exec = Exec3D::new(&k, 6, 8, 32, VariantConfig::implicit_cuda());
+        let exec = Exec3D::try_new(&k, 6, 8, 32, VariantConfig::implicit_cuda()).unwrap();
         let mut dev = Device::a100();
         let mut grid = Grid3D::new(6, 8, 32, 1);
         grid.fill_random(3);
-        let ext0 = exec.build_ext(&grid);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
         let ext =
             try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         assert_eq!(dev.counters.dmma_ops, 0);
@@ -847,9 +536,9 @@ mod tests {
         grid.fill_random(21);
         let want = run3d(&grid, &k, 1);
         for (name, variant) in crate::variants::VariantConfig::breakdown() {
-            let exec = Exec3D::new(&k, d, m, n, variant);
+            let exec = Exec3D::try_new(&k, d, m, n, variant).unwrap();
             let mut dev = Device::a100();
-            let ext0 = exec.build_ext(&grid);
+            let ext0 = exec.try_build_ext(&grid).unwrap();
             let ext =
                 try_run_applications::<D3>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid3D::new(d, m, n, 1);

@@ -19,6 +19,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod api;
+mod block;
 pub mod dim;
 pub mod error;
 pub mod exec1d;

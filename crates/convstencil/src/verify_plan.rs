@@ -66,6 +66,11 @@ pub fn verify_layout_2d(plan: &Plan2D, variant: VariantConfig) -> Result<(), Con
         lay.pad
     );
     ensure!(
+        plan.block_groups.is_multiple_of(8),
+        "groups per block {} is not a whole number of 8-group tessellation bands",
+        plan.block_groups
+    );
+    ensure!(
         lay.tile_rows == plan.block_groups,
         "layout tile_rows {} != plan block_groups {}",
         lay.tile_rows,
@@ -254,6 +259,11 @@ pub fn verify_plan_1d(plan: &Plan1D, variant: VariantConfig) -> Result<(), ConvS
             plan.stride
         );
     }
+    ensure!(
+        plan.block_groups.is_multiple_of(8),
+        "1D groups per block {} is not a whole number of 8-group tessellation bands",
+        plan.block_groups
+    );
     let tile_size = plan.b_off - plan.a_off;
     ensure!(
         plan.a_off == 0 && tile_size >= plan.block_groups * plan.stride,
@@ -466,7 +476,7 @@ mod tests {
         verify_weights(&WeightMatrices::from_kernel2d(&k)).unwrap();
         let k1 = Kernel1D::new(vec![0.2, 0.5, 0.2]);
         verify_weights(&WeightMatrices::from_kernel1d(&k1)).unwrap();
-        let exec = Exec1D::new(&k1, 512, VariantConfig::conv_stencil());
+        let exec = Exec1D::try_new(&k1, 512, VariantConfig::conv_stencil()).unwrap();
         exec.verify().unwrap();
     }
 
@@ -474,7 +484,7 @@ mod tests {
     fn mutated_lut_entry_is_rejected_with_a_reason() {
         let variant = VariantConfig::conv_stencil();
         let k = Kernel2D::box_uniform(1);
-        let mut exec = Exec2D::new(&k, 64, 64, variant);
+        let mut exec = Exec2D::try_new(&k, 64, 64, variant).unwrap();
         exec.verify().unwrap();
         // Redirect one useful cell to the wrong column.
         let lane = exec.plan.pre + 1;
@@ -483,6 +493,20 @@ mod tests {
         let err = exec.verify().unwrap_err();
         assert!(matches!(err, ConvStencilError::PlanInvalid { .. }));
         assert!(err.to_string().contains("Eq. 5/6"));
+    }
+
+    #[test]
+    fn partial_tessellation_band_is_rejected() {
+        // 10 groups: the band loop covers 8, leaving 2 unwritten.
+        let variant = VariantConfig::conv_stencil();
+        let plan = Plan2D::try_with_block(9, 70, 5, 8, 10, variant).unwrap();
+        let err = verify_layout_2d(&plan, variant).unwrap_err();
+        assert!(err.to_string().contains("8-group"), "{err}");
+        let k = Kernel2D::box_uniform(2);
+        assert!(matches!(
+            Exec2D::try_with_plan(&k, plan, variant),
+            Err(ConvStencilError::PlanInvariant { .. })
+        ));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! optimization variant) against the naive CPU reference.
 
 use convstencil_repro::convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D, VariantConfig};
-use convstencil_repro::stencil_core::{reference, Grid1D, Grid2D, Grid3D, Shape};
+use convstencil_repro::stencil_core::{
+    max_abs_diff, reference, Grid1D, Grid2D, Grid3D, Kernel3D, Shape,
+};
 
 /// Deep-interior comparison (fusion approximates a boundary ring; see
 /// DESIGN.md §4).
@@ -90,6 +92,24 @@ fn three_dimensional_shapes_match_reference() {
         let want = reference::run3d(&grid, &kernel, 3);
         convstencil_repro::stencil_core::assert_close_default(&got.interior(), &want.interior());
         assert!(report.counters.dmma_ops > 0, "{shape}");
+    }
+}
+
+#[test]
+fn radius_two_3d_writes_every_column_on_every_variant() {
+    // n_k = 5: a plane block of 64 / 6 = 10 column groups would leave 2
+    // of every 10 groups outside the 8-group tessellation bands.
+    let kernel = Kernel3D::box_uniform(2);
+    let mut grid = Grid3D::new(4, 9, 70, 2);
+    grid.fill_random(25);
+    for (name, variant) in VariantConfig::breakdown() {
+        let cs = ConvStencil3D::try_new(kernel.clone())
+            .unwrap()
+            .with_variant(variant);
+        let (got, _) = cs.try_run(&grid, 1).unwrap();
+        let want = cs.run_reference(&grid, 1);
+        let err = max_abs_diff(&got.interior(), &want.interior());
+        assert!(err <= 1e-12, "{name}: max |got - reference| = {err:e}");
     }
 }
 

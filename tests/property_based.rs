@@ -143,10 +143,10 @@ proptest! {
         let nk = kernel.nk();
         let m = 32 * mb;
         let n = 8 * (nk + 1) * nb;
-        let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
+        let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid2D::new(m, n, radius);
-        let ext0 = exec.plan.build_ext(&grid);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         prop_assert_eq!(dev.counters.dmma_ops, model::convstencil_mma_count(m, n, nk));
     }
@@ -200,9 +200,9 @@ proptest! {
         let (m, n) = (40, 72);
         let mut grid = Grid2D::new(m, n, 1);
         grid.fill_random(seed);
-        let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
+        let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
-        let ext0 = exec.plan.build_ext(&grid);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         let ext = try_run_applications::<D2>(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         let mut got = Grid2D::new(m, n, 1);
         exec.plan.extract_into(&ext, &mut got);
@@ -244,7 +244,7 @@ proptest! {
             .collect();
         let kernel = Kernel2D::new(radius, w);
         let variant = VariantConfig::breakdown()[vidx].1;
-        let exec = Exec2D::new(&kernel, m, n, variant);
+        let exec = Exec2D::try_new(&kernel, m, n, variant).unwrap();
         prop_assert!(exec.verify().is_ok());
     }
 
@@ -260,7 +260,7 @@ proptest! {
     ) {
         let variant = VariantConfig::breakdown()[vidx].1;
         let kernel = Kernel2D::box_uniform(1);
-        let mut exec = Exec2D::new(&kernel, 40, 72, variant);
+        let mut exec = Exec2D::try_new(&kernel, 40, 72, variant).unwrap();
         let p = &exec.plan;
         let tile_rows = p.block_rows + p.nk - 1;
         let span_aligned = p.span_aligned;

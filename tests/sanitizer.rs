@@ -154,7 +154,7 @@ fn sanitizer_off_means_no_report_and_no_shadow_cost() {
 #[test]
 fn static_verifier_rejects_mutated_lut_before_launch() {
     let variant = VariantConfig::conv_stencil();
-    let mut exec = Exec2D::new(&Kernel2D::box_uniform(1), 64, 64, variant);
+    let mut exec = Exec2D::try_new(&Kernel2D::box_uniform(1), 64, 64, variant).unwrap();
     exec.verify().expect("shipped plan must verify");
     let lane = exec.plan.pre;
     let old = exec.lut().get(2, lane);
