@@ -177,14 +177,19 @@ pub(crate) fn check_scratch<S>(
 /// The CUDA-core column map of a block: input column `c` of its span, in
 /// tile row 0. The offset grows by `n_k` per input row (Eq. 5/6's `n_k·x`
 /// term).
+///
+/// Columns A drops (`c ≡ n_k mod n_k+1`) or that lie past its `groups`
+/// rows come from B. Eq. 6 keeps every one of them: a block's span ends
+/// `n_k - 1` columns past its last group, before B's next dropped column.
 pub(crate) fn colmap(span: usize, nk: usize, groups: usize) -> Vec<ColEntry> {
     (0..span)
-        .map(|c| match map_a(0, c, nk) {
-            Some((g, col)) if g < groups => (true, g, col),
-            _ => {
-                let (g, col) =
-                    map_b(0, c, nk).expect("column dropped by both stencil2row matrices");
-                (false, g, col)
+        .map(|c| {
+            let (g, off) = (c / (nk + 1), c % (nk + 1));
+            if off != nk && g < groups {
+                (true, g, off)
+            } else {
+                let cb = c - nk;
+                (false, cb / (nk + 1), cb % (nk + 1))
             }
         })
         .collect()
@@ -534,6 +539,30 @@ pub(crate) fn compute_cuda(
                 tap_warp(ctx, tiles, colmap, nk * (xr + kx), yr0 + ky, w, sums);
             }
             write_back(ctx, out, xr, yr0, sums);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn colmap_follows_eq5_eq6() {
+        for nk in [3, 5, 7] {
+            for groups in [8, 16, 128] {
+                let span = groups * (nk + 1) + nk - 1;
+                for (c, &entry) in colmap(span, nk, groups).iter().enumerate() {
+                    let want = match map_a(0, c, nk) {
+                        Some((g, col)) if g < groups => (true, g, col),
+                        _ => {
+                            let (g, col) = map_b(0, c, nk).expect("B keeps every column A drops");
+                            (false, g, col)
+                        }
+                    };
+                    assert_eq!(entry, want, "nk={nk} groups={groups} c={c}");
+                }
+            }
         }
     }
 }

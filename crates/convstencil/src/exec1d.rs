@@ -257,17 +257,6 @@ impl Exec1D {
         verify_plan::verify_weights(&self.weights)
     }
 
-    /// The block's tile pair: one group row per column group.
-    fn tiles(&self) -> Tiles {
-        let p = &self.plan;
-        Tiles {
-            a: p.a_off,
-            b: p.b_off,
-            stride: p.stride,
-            groups: p.block_groups,
-        }
-    }
-
     /// One application: read `ext_in`, write interior of `ext_out`.
     ///
     /// The explicit variant (I) materializes the stencil2row matrices in
@@ -285,7 +274,12 @@ impl Exec1D {
             self.run_transform(dev, ext_in, bufs)?;
         }
         let p = &self.plan;
-        let tiles = self.tiles();
+        let tiles = Tiles {
+            a: p.a_off,
+            b: p.b_off,
+            stride: p.stride,
+            groups: p.block_groups,
+        };
         dev.set_write_hint(p.block_groups * (p.nk + 1));
         dev.try_launch(p.blocks, self.shared_len(), |bid, ctx| {
             ctx.phase(Phase::SmemScatter);
