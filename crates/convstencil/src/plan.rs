@@ -582,6 +582,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "n_k must be 3, 5 or 7")]
+    fn panicking_wrapper_keeps_classic_message() {
+        // `ConvStencil::new` is the one panicking wrapper left over the
+        // planners; it panics with the `UnsupportedNk` Display message.
+        let _ = crate::api::ConvStencil3D::new(stencil_core::Kernel3D::box_uniform(4));
+    }
+
+    #[test]
     fn try_build_ext_rejects_bad_grids() {
         let plan = Plan2D::try_new_2d(20, 30, 7, v5()).unwrap();
         let wrong_shape = Grid2D::new(21, 30, 3);
