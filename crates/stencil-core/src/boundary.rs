@@ -17,6 +17,8 @@
 
 use crate::grid::{Grid1D, Grid2D, Grid3D};
 use crate::kernel::{Kernel1D, Kernel2D, Kernel3D};
+use crate::reference::CHUNK_1D;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Boundary handling for stencil runs.
@@ -127,13 +129,17 @@ pub fn run1d_periodic(grid: &Grid1D, k: &Kernel1D, steps: usize) -> Grid1D {
     let mut cur: Vec<f64> = grid.interior();
     let mut next = vec![0.0; n];
     for _ in 0..steps {
-        for (i, out) in next.iter_mut().enumerate() {
-            let mut sum = 0.0;
-            for di in -r..=r {
-                sum += cur[wrap(i as isize + di, n)] * k.weight(di);
-            }
-            *out = sum;
-        }
+        next.par_chunks_mut(CHUNK_1D)
+            .enumerate()
+            .for_each(|(c, out)| {
+                for (i, cell) in (c * CHUNK_1D..).zip(out) {
+                    let mut sum = 0.0;
+                    for di in -r..=r {
+                        sum += cur[wrap(i as isize + di, n)] * k.weight(di);
+                    }
+                    *cell = sum;
+                }
+            });
         std::mem::swap(&mut cur, &mut next);
     }
     let mut out = grid.clone();
@@ -150,19 +156,21 @@ pub fn run2d_periodic(grid: &Grid2D, k: &Kernel2D, steps: usize) -> Grid2D {
     let mut cur = grid.interior();
     let mut next = vec![0.0; m * n];
     for _ in 0..steps {
-        for x in 0..m {
-            for y in 0..n {
-                let mut sum = 0.0;
-                for dx in -r..=r {
-                    let px = wrap(x as isize + dx, m);
-                    for dy in -r..=r {
-                        let py = wrap(y as isize + dy, n);
-                        sum += cur[px * n + py] * k.weight(dx, dy);
+        next.par_chunks_mut(n.max(1))
+            .enumerate()
+            .for_each(|(x, row)| {
+                for (y, cell) in row.iter_mut().enumerate() {
+                    let mut sum = 0.0;
+                    for dx in -r..=r {
+                        let px = wrap(x as isize + dx, m);
+                        for dy in -r..=r {
+                            let py = wrap(y as isize + dy, n);
+                            sum += cur[px * n + py] * k.weight(dx, dy);
+                        }
                     }
+                    *cell = sum;
                 }
-                next[x * n + y] = sum;
-            }
-        }
+            });
         std::mem::swap(&mut cur, &mut next);
     }
     let mut out = grid.clone();
@@ -181,24 +189,26 @@ pub fn run3d_periodic(grid: &Grid3D, k: &Kernel3D, steps: usize) -> Grid3D {
     let mut cur = grid.interior();
     let mut next = vec![0.0; d * m * n];
     for _ in 0..steps {
-        for z in 0..d {
-            for x in 0..m {
-                for y in 0..n {
-                    let mut sum = 0.0;
-                    for dz in -r..=r {
-                        let pz = wrap(z as isize + dz, d);
-                        for dx in -r..=r {
-                            let px = wrap(x as isize + dx, m);
-                            for dy in -r..=r {
-                                let py = wrap(y as isize + dy, n);
-                                sum += cur[(pz * m + px) * n + py] * k.weight(dz, dx, dy);
+        next.par_chunks_mut((m * n).max(1))
+            .enumerate()
+            .for_each(|(z, plane)| {
+                for x in 0..m {
+                    for y in 0..n {
+                        let mut sum = 0.0;
+                        for dz in -r..=r {
+                            let pz = wrap(z as isize + dz, d);
+                            for dx in -r..=r {
+                                let px = wrap(x as isize + dx, m);
+                                for dy in -r..=r {
+                                    let py = wrap(y as isize + dy, n);
+                                    sum += cur[(pz * m + px) * n + py] * k.weight(dz, dx, dy);
+                                }
                             }
                         }
+                        plane[x * n + y] = sum;
                     }
-                    next[(z * m + x) * n + y] = sum;
                 }
-            }
-        }
+            });
         std::mem::swap(&mut cur, &mut next);
     }
     let mut out = grid.clone();
@@ -228,13 +238,16 @@ mod tests {
     #[test]
     fn refreshed_halo_plus_frozen_step_equals_periodic_step_1d() {
         let k = Kernel1D::new(vec![0.25, 0.5, 0.25]);
-        let mut g = Grid1D::new(40, 1);
-        g.fill_random(3);
-        let want = run1d_periodic(&g, &k, 1);
-        let mut wrapped = g.clone();
-        refresh_halo_1d(&mut wrapped);
-        let got = run1d(&wrapped, &k, 1);
-        crate::verify::assert_close_default(&got.interior(), &want.interior());
+        // The second length spans several parallel chunks.
+        for n in [40, 2 * CHUNK_1D + 3] {
+            let mut g = Grid1D::new(n, 1);
+            g.fill_random(3);
+            let want = run1d_periodic(&g, &k, 1);
+            let mut wrapped = g.clone();
+            refresh_halo_1d(&mut wrapped);
+            let got = run1d(&wrapped, &k, 1);
+            crate::verify::assert_close_default(&got.interior(), &want.interior());
+        }
     }
 
     #[test]

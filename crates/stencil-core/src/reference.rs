@@ -12,26 +12,36 @@
 //!   whenever `halo >= t * radius`. This is the semantic used to verify
 //!   temporal kernel fusion (fused kernel ≡ `t` exact steps).
 //!
-//! Rows go through rayon's parallel iterators, which the vendored stub
-//! runs sequentially; results do not depend on row order because each
-//! output cell is written once.
+//! Rows, planes and fixed-size 1D chunks go through rayon's parallel
+//! iterators and run on every host core; results do not depend on the schedule because each output
+//! cell is written once, from the previous step's buffer.
 
 use crate::grid::{Grid1D, Grid2D, Grid3D};
 use crate::kernel::{Kernel1D, Kernel2D, Kernel3D};
 use rayon::prelude::*;
+
+/// Cells per parallel work item of the 1D executors. Grids shorter than
+/// this run on the calling thread alone.
+pub(crate) const CHUNK_1D: usize = 1 << 12;
 
 /// One frozen-halo step: `dst` interior = kernel applied to `src`.
 pub fn step1d(src: &Grid1D, dst: &mut Grid1D, k: &Kernel1D) {
     assert_eq!(src.len(), dst.len());
     assert!(src.halo() >= k.radius(), "halo too small for kernel radius");
     let r = k.radius() as isize;
-    for i in 0..src.len() {
-        let mut sum = 0.0;
-        for di in -r..=r {
-            sum += src.get_rel(i, di) * k.weight(di);
-        }
-        dst.set(i, sum);
-    }
+    let (n, halo) = (dst.len(), dst.halo());
+    dst.padded_mut()[halo..halo + n]
+        .par_chunks_mut(CHUNK_1D)
+        .enumerate()
+        .for_each(|(c, out)| {
+            for (i, cell) in (c * CHUNK_1D..).zip(out) {
+                let mut sum = 0.0;
+                for di in -r..=r {
+                    sum += src.get_rel(i, di) * k.weight(di);
+                }
+                *cell = sum;
+            }
+        });
 }
 
 /// Run `iters` frozen-halo steps, returning the final grid.
@@ -254,6 +264,42 @@ mod tests {
         assert_eq!(out.get(1), 321.0);
         // out[0] reads left halo (0).
         assert_eq!(out.get(0), 0.0 + 10.0 * 1.0 + 100.0 * 2.0);
+    }
+
+    #[test]
+    fn step1d_across_chunks_matches_per_cell_sum() {
+        let n = 2 * CHUNK_1D + 3;
+        let mut g = Grid1D::new(n, 2);
+        g.fill_random(5);
+        let k = Kernel1D::new(vec![0.1, 0.2, 0.4, 0.2, 0.1]);
+        let out = run1d(&g, &k, 1);
+        for i in 0..n {
+            let mut sum = 0.0;
+            for di in -2..=2 {
+                sum += g.get_rel(i, di) * k.weight(di);
+            }
+            assert_eq!(out.get(i).to_bits(), sum.to_bits(), "cell {i}");
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_matches_sequential_chunking() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for len in [0, 1, 9, 10, 103, 1001] {
+            for (skip, take) in [(0, usize::MAX), (2, 5), (0, workers + 1), (200, 1)] {
+                let mut par = vec![0usize; len];
+                par.par_chunks_mut(10)
+                    .skip(skip)
+                    .take(take)
+                    .enumerate()
+                    .for_each(|(i, c)| c.iter_mut().for_each(|v| *v += i + 1));
+                let mut seq = vec![0usize; len];
+                for (i, c) in seq.chunks_mut(10).skip(skip).take(take).enumerate() {
+                    c.iter_mut().for_each(|v| *v += i + 1);
+                }
+                assert_eq!(par, seq, "len {len}, skip {skip}, take {take}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! Semantics mirror a real GPU kernel with double buffering: global reads
 //! observe the pre-launch state; writes retire when the launch completes
 //! (applied in block order). Block bodies go through rayon's ordered
-//! `map`, which the vendored stub runs sequentially; results would be the
-//! same under a parallel scheduler because no block observes another's
-//! writes.
+//! `map`, which runs contiguous runs of blocks on every host core and
+//! returns the outcomes in block order. No block observes another's
+//! writes, and retirement, the counter sum, the sanitizer merge and the
+//! span fold all walk the outcomes in block order, so every output,
+//! ledger, trace and report is bit-identical to a one-core run.
 
 use crate::config::DeviceConfig;
 use crate::cost::{CostBreakdown, CostModel, LaunchStats};
@@ -1469,5 +1471,74 @@ mod tests {
         assert_eq!(dev.counters.uncoalesced_requests, 0);
         assert_eq!(dev.counters.global_write_bytes, 512);
         assert_eq!(dev.download(dst)[63], 63.0);
+    }
+
+    /// Enough blocks that every host core gets a run of them.
+    const MANY_BLOCKS: usize = 1001;
+
+    #[test]
+    fn many_block_launch_retires_and_folds_in_block_order() {
+        use crate::sanitize::MAX_RECORDED_VIOLATIONS;
+        for pooling in [true, false] {
+            let mut dev = Device::a100();
+            dev.set_scratch_pooling(pooling);
+            dev.set_sanitizer(true);
+            let disjoint = dev.alloc(MANY_BLOCKS);
+            let pairs = dev.alloc(MANY_BLOCKS.div_ceil(2));
+            let all = dev.alloc(4);
+            dev.launch(MANY_BLOCKS, 16, |block, ctx| {
+                let id = block as f64;
+                ctx.gmem_write_span(disjoint, block, &[id]);
+                ctx.gmem_write_span(pairs, block / 2, &[id]);
+                ctx.gmem_write_span(all, 0, &[id; 4]);
+                ctx.count_fma(block as u64);
+                if block % 3 == 0 {
+                    // A load of a never-written word: one initcheck each.
+                    let mut out = [0.0];
+                    ctx.smem_load(&[block % 16], &mut out);
+                }
+            });
+            let want_disjoint: Vec<f64> = (0..MANY_BLOCKS).map(|b| b as f64).collect();
+            assert_eq!(dev.download(disjoint), &want_disjoint[..]);
+            // The later block of each overlapping pair retires last.
+            let want_pairs: Vec<f64> = (0..MANY_BLOCKS.div_ceil(2))
+                .map(|i| (2 * i + 1).min(MANY_BLOCKS - 1) as f64)
+                .collect();
+            assert_eq!(dev.download(pairs), &want_pairs[..]);
+            assert_eq!(dev.download(all), &[(MANY_BLOCKS - 1) as f64; 4]);
+
+            assert_eq!(dev.counters.cuda_fma_ops, 500_500);
+            assert_eq!(dev.launch_stats.total_blocks, MANY_BLOCKS as u64);
+            let report = dev.take_sanitizer_report();
+            assert_eq!(report.init_total, 334);
+            // Recorded findings are the first blocks' findings, in order.
+            let blocks: Vec<usize> = report.violations.iter().map(|v| v.block).collect();
+            let want_blocks: Vec<usize> = (0..MANY_BLOCKS)
+                .step_by(3)
+                .take(MAX_RECORDED_VIOLATIONS)
+                .collect();
+            assert_eq!(blocks, want_blocks);
+        }
+    }
+
+    #[test]
+    fn collect_keeps_index_order_for_any_item_count() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for n in [0, 1, workers - 1, workers + 1, 7, MANY_BLOCKS] {
+            let got: Vec<usize> = (3..3 + n).into_par_iter().map(|i| i * i).collect();
+            let want: Vec<usize> = (3..3 + n).map(|i| i * i).collect();
+            assert_eq!(got, want, "{n} items");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel gave up in block 517")]
+    fn block_panic_surfaces_its_own_message() {
+        let mut dev = Device::a100();
+        dev.launch(MANY_BLOCKS, 16, |block, _| {
+            if block == 517 {
+                panic!("kernel gave up in block {block}");
+            }
+        });
     }
 }

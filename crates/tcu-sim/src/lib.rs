@@ -25,10 +25,10 @@
 //!   each launch decomposed into spans with exact counter attribution,
 //!   modelled span time, and host wall-clock; JSONL export.
 //! * **Device & launch** ([`device`]): kernels as closures over a
-//!   [`device::BlockCtx`]; blocks run one after another on the host
-//!   (`vendor/rayon` is a sequential stub) with GPU-faithful semantics
-//!   that do not depend on block order (reads see pre-launch state,
-//!   writes retire at launch end).
+//!   [`device::BlockCtx`]; a launch's blocks run in parallel on every
+//!   host core with GPU-faithful semantics that do not depend on block
+//!   order (reads see pre-launch state, writes retire at launch end, in
+//!   block order).
 //!
 //! The simulator is *functional + event-counting*: algorithm outputs are
 //! numerically real (verified against CPU references) and performance is
