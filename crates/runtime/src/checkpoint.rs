@@ -24,6 +24,17 @@
 //! [`crate::crc64`]). Floats travel as `f64::to_bits` hex so the round
 //! trip is bit-exact, including NaNs and signed zeros.
 //!
+//! ## Codec cost
+//!
+//! The format is fixed at v1; encoding and decoding cost time linear in
+//! the file's bytes with a small constant. `encode` writes the f64 lists
+//! through a nibble table into one payload buffer sized up front and
+//! inserts the header into that buffer. `decode` checks the CRC (slicing
+//! by 8) before any field is parsed, then reads canonical f64 lists in
+//! 17-byte strides and hands any other list to the per-token parser, so
+//! what is accepted and every error text stay those of the per-token
+//! parser. Error texts are only built on the error path.
+//!
 //! ## Crash consistency
 //!
 //! Files are written with the bench crate's `atomic_write` (temp file +
@@ -105,19 +116,55 @@ pub struct Checkpoint {
     pub devices: Vec<DeviceCursor>,
 }
 
-fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Lowercase hex digit of each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a lowercase hex digit in [`HEX_VALUES`].
+const NOT_HEX: u8 = 0x80;
+
+/// Value of each byte as a lowercase hex digit, or [`NOT_HEX`].
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// `{:016x}` of `v.to_bits()` into `out[..16]`.
+fn write_hex16(v: f64, out: &mut [u8]) {
+    let bits = v.to_bits();
+    for (i, digit) in out[..16].iter_mut().enumerate() {
+        *digit = HEX_DIGITS[((bits >> (60 - 4 * i)) & 0xF) as usize];
+    }
 }
 
-fn hex_f64_list(vs: &[f64]) -> String {
-    let mut out = String::with_capacity(vs.len() * 17);
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{:016x}", v.to_bits());
-    }
+fn hex_f64(v: f64) -> String {
+    let mut out = String::with_capacity(16);
+    push_hex_f64_list(&mut out, &[v]);
     out
+}
+
+/// Append `vs` as comma-separated `{:016x}` bit patterns. Values are
+/// encoded a block at a time into a stack buffer, so the only copy is the
+/// one into `out`.
+fn push_hex_f64_list(out: &mut String, vs: &[f64]) {
+    const BLOCK: usize = 256;
+    let mut buf = [0u8; BLOCK * 17];
+    for block in vs.chunks(BLOCK) {
+        for (v, slot) in block.iter().zip(buf.chunks_exact_mut(17)) {
+            write_hex16(*v, slot);
+            slot[16] = b',';
+        }
+        out.push_str(
+            std::str::from_utf8(&buf[..block.len() * 17]).expect("hex digits and commas are ASCII"),
+        );
+    }
+    if !vs.is_empty() {
+        out.pop(); // the comma after the last value
+    }
 }
 
 fn read_err(path: &Path, reason: impl Into<String>) -> ConvStencilError {
@@ -166,9 +213,35 @@ fn parse_f64_bits(key: &'static str, s: &str) -> FieldResult<f64> {
         })
 }
 
+/// Decode a comma-separated list of f64 bit patterns. The canonical
+/// layout written by [`push_hex_f64_list`] (16 lowercase hex digits per
+/// value, one comma between values) is decoded in strides of 17 bytes
+/// with one validity flag; anything else, including every malformed
+/// list, goes through the per-token [`parse_f64_bits`], so the accepted
+/// inputs and the error texts are those of the per-token parser.
 fn parse_f64_list(key: &'static str, s: &str) -> FieldResult<Vec<f64>> {
     if s.is_empty() {
         return Ok(Vec::new());
+    }
+    let bytes = s.as_bytes();
+    if (bytes.len() + 1).is_multiple_of(17) {
+        let mut out = Vec::with_capacity((bytes.len() + 1) / 17);
+        let mut flags = 0u8;
+        for token in bytes.chunks(17) {
+            let mut bits = 0u64;
+            for &b in &token[..16] {
+                let d = HEX_VALUES[b as usize];
+                flags |= d;
+                bits = (bits << 4) | u64::from(d & 0xF);
+            }
+            if token.len() == 17 && token[16] != b',' {
+                flags |= NOT_HEX;
+            }
+            out.push(f64::from_bits(bits));
+        }
+        if flags & NOT_HEX == 0 {
+            return Ok(out);
+        }
     }
     s.split(',').map(|tok| parse_f64_bits(key, tok)).collect()
 }
@@ -185,13 +258,16 @@ fn encode_plan(plan: &Option<FaultPlan>) -> String {
     match plan {
         None => "-".to_string(),
         Some(p) => {
-            let die = p.die_at_launch.map_or("-".to_string(), |d| d.to_string());
+            let die = p
+                .die_at_launch
+                .map_or_else(|| "-".to_string(), |d| d.to_string());
             let ecc = p
                 .ecc_burst
-                .map_or("-".to_string(), |b| format!("{}/{}", b.start, b.len));
-            let hang = p.hang.map_or("-".to_string(), |h| {
-                format!("{}/{}", h.at_launch, h.stall_cycles)
-            });
+                .map_or_else(|| "-".to_string(), |b| format!("{}/{}", b.start, b.len));
+            let hang = p.hang.map_or_else(
+                || "-".to_string(),
+                |h| format!("{}/{}", h.at_launch, h.stall_cycles),
+            );
             format!(
                 "seed:{} dmma:{} smem:{} lfail:{} die:{} ecc:{} hang:{}",
                 p.seed,
@@ -219,7 +295,7 @@ fn decode_plan(s: &str) -> FieldResult<Option<FaultPlan>> {
     let mut ecc = None;
     let mut hang = None;
     for tok in s.split(' ') {
-        let (k, v) = tok.split_once(':').ok_or(FieldError {
+        let (k, v) = tok.split_once(':').ok_or_else(|| FieldError {
             key: KEY,
             why: format!("bad token {tok:?}"),
         })?;
@@ -230,7 +306,7 @@ fn decode_plan(s: &str) -> FieldResult<Option<FaultPlan>> {
             "lfail" => lfail = Some(parse_f64_bits(KEY, v)?),
             "die" if v != "-" => die = Some(parse_u64(KEY, v)?),
             "ecc" if v != "-" => {
-                let (a, b) = v.split_once('/').ok_or(FieldError {
+                let (a, b) = v.split_once('/').ok_or_else(|| FieldError {
                     key: KEY,
                     why: format!("bad ecc window {v:?}"),
                 })?;
@@ -240,7 +316,7 @@ fn decode_plan(s: &str) -> FieldResult<Option<FaultPlan>> {
                 });
             }
             "hang" if v != "-" => {
-                let (a, b) = v.split_once('/').ok_or(FieldError {
+                let (a, b) = v.split_once('/').ok_or_else(|| FieldError {
                     key: KEY,
                     why: format!("bad hang spec {v:?}"),
                 })?;
@@ -253,7 +329,7 @@ fn decode_plan(s: &str) -> FieldResult<Option<FaultPlan>> {
             other => return field_err(KEY, format!("unknown token {other:?}")),
         }
     }
-    let mut plan = FaultPlan::quiet(seed.ok_or(FieldError {
+    let mut plan = FaultPlan::quiet(seed.ok_or_else(|| FieldError {
         key: KEY,
         why: "missing seed".to_string(),
     })?);
@@ -281,13 +357,14 @@ fn decode_breaker(s: &str) -> FieldResult<BreakerState> {
     if s == "halfopen" {
         return Ok(BreakerState::HalfOpen);
     }
-    let (k, v) = s.split_once(':').ok_or(FieldError {
+    let (k, v) = s.split_once(':').ok_or_else(|| FieldError {
         key: KEY,
         why: format!("bad breaker state {s:?}"),
     })?;
     match k {
         "closed" => Ok(BreakerState::Closed {
-            consecutive_failures: parse_u64(KEY, v)? as u32,
+            consecutive_failures: u32::try_from(parse_u64(KEY, v)?)
+                .or_else(|_| field_err(KEY, format!("failure count {v} does not fit in u32")))?,
         }),
         "open" => Ok(BreakerState::Open {
             until_jobs: parse_u64(KEY, v)?,
@@ -302,13 +379,28 @@ impl Checkpoint {
         format!("{job}.step{steps_done:08}.{EXTENSION}")
     }
 
-    /// Serialize to the wire format (header + payload).
+    /// Upper bound on the encoded size: 17 bytes per f64 list entry, 512
+    /// per `device=` line, and 4 KiB for the header and every other line.
+    fn encoded_capacity(&self) -> usize {
+        (self.weights.len() + self.grid_data.len()) * 17
+            + self.devices.len() * 512
+            + self.grid_dims.len() * 21
+            + self.job.len()
+            + self.boundary.len()
+            + 4096
+    }
+
+    /// Serialize to the wire format (header + payload). The payload is
+    /// built in one buffer sized by [`Self::encoded_capacity`], and the
+    /// header is then inserted in front of it within the same allocation.
     pub fn encode(&self) -> String {
-        let mut p = String::new();
+        let mut p = String::with_capacity(self.encoded_capacity());
         let _ = writeln!(p, "job={}", self.job);
         let _ = writeln!(p, "dim={}", self.dim);
         let _ = writeln!(p, "radius={}", self.radius);
-        let _ = writeln!(p, "weights={}", hex_f64_list(&self.weights));
+        p.push_str("weights=");
+        push_hex_f64_list(&mut p, &self.weights);
+        p.push('\n');
         let _ = writeln!(p, "fusion={}", self.fusion);
         let _ = writeln!(p, "boundary={}", self.boundary);
         let _ = writeln!(
@@ -342,7 +434,9 @@ impl Checkpoint {
                 .join(",")
         );
         let _ = writeln!(p, "grid_halo={}", self.grid_halo);
-        let _ = writeln!(p, "grid_data={}", hex_f64_list(&self.grid_data));
+        p.push_str("grid_data=");
+        push_hex_f64_list(&mut p, &self.grid_data);
+        p.push('\n');
         let _ = writeln!(
             p,
             "counters={}",
@@ -372,7 +466,7 @@ impl Checkpoint {
             p,
             "active_device={}",
             self.active_device
-                .map_or("-".to_string(), |id| id.to_string())
+                .map_or_else(|| "-".to_string(), |id| id.to_string())
         );
         if let Some(s) = &self.sanitizer {
             let _ = writeln!(
@@ -411,11 +505,13 @@ impl Checkpoint {
                 encode_breaker(&d.breaker)
             );
         }
-        format!(
-            "{MAGIC} crc64={:016x} payload_bytes={}\n{p}",
+        let header = format!(
+            "{MAGIC} crc64={:016x} payload_bytes={}\n",
             crc64(p.as_bytes()),
             p.len()
-        )
+        );
+        p.insert_str(0, &header);
+        p
     }
 
     /// Parse the wire format, verifying the checksum first. `path` is
@@ -497,14 +593,16 @@ impl Checkpoint {
             if line.is_empty() {
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or(FieldError {
+            let (key, value) = line.split_once('=').ok_or_else(|| FieldError {
                 key: "payload",
                 why: format!("line without `=`: {line:?}"),
             })?;
             match key {
                 "job" => ck.job = value.to_string(),
                 "dim" => {
-                    ck.dim = parse_u64("dim", value)? as u8;
+                    ck.dim = u8::try_from(parse_u64("dim", value)?).or_else(|_| {
+                        field_err("dim", format!("{value} is out of range (want 1..=3)"))
+                    })?;
                     seen_dim = true;
                 }
                 "radius" => ck.radius = parse_usize("radius", value)?,
@@ -545,7 +643,7 @@ impl Checkpoint {
                 "grid_data" => ck.grid_data = parse_f64_list("grid_data", value)?,
                 "counters" => {
                     for pair in value.split(',') {
-                        let (k, v) = pair.split_once(':').ok_or(FieldError {
+                        let (k, v) = pair.split_once(':').ok_or_else(|| FieldError {
                             key: "counters",
                             why: format!("bad pair {pair:?}"),
                         })?;
@@ -556,7 +654,7 @@ impl Checkpoint {
                 }
                 "launches" => {
                     for pair in value.split(',') {
-                        let (k, v) = pair.split_once(':').ok_or(FieldError {
+                        let (k, v) = pair.split_once(':').ok_or_else(|| FieldError {
                             key: "launches",
                             why: format!("bad pair {pair:?}"),
                         })?;
@@ -575,7 +673,7 @@ impl Checkpoint {
                 }
                 "job_stats" => {
                     for pair in value.split(',') {
-                        let (k, v) = pair.split_once(':').ok_or(FieldError {
+                        let (k, v) = pair.split_once(':').ok_or_else(|| FieldError {
                             key: "job_stats",
                             why: format!("bad pair {pair:?}"),
                         })?;
@@ -604,7 +702,7 @@ impl Checkpoint {
                 "sanitizer" => {
                     let s = ck.sanitizer.get_or_insert_with(SanitizerReport::default);
                     for pair in value.split(',') {
-                        let (k, v) = pair.split_once(':').ok_or(FieldError {
+                        let (k, v) = pair.split_once(':').ok_or_else(|| FieldError {
                             key: "sanitizer",
                             why: format!("bad pair {pair:?}"),
                         })?;
@@ -651,7 +749,7 @@ impl Checkpoint {
                             id = Some(parse_usize("device.id", part)?);
                             continue;
                         }
-                        let (k, v) = part.split_once('=').ok_or(FieldError {
+                        let (k, v) = part.split_once('=').ok_or_else(|| FieldError {
                             key: "device",
                             why: format!("bad part {part:?}"),
                         })?;
@@ -665,7 +763,7 @@ impl Checkpoint {
                         }
                     }
                     ck.devices.push(DeviceCursor {
-                        id: id.ok_or(FieldError {
+                        id: id.ok_or_else(|| FieldError {
                             key: "device",
                             why: "missing id".to_string(),
                         })?,
@@ -673,7 +771,7 @@ impl Checkpoint {
                         fault_epoch: epoch,
                         launch_attempts: attempts,
                         dead,
-                        breaker: breaker.ok_or(FieldError {
+                        breaker: breaker.ok_or_else(|| FieldError {
                             key: "device",
                             why: "missing breaker state".to_string(),
                         })?,
@@ -861,6 +959,121 @@ mod tests {
         assert_eq!(back.grid_data[0].to_bits(), odd.grid_data[0].to_bits());
         assert_eq!(back.grid_data[1].to_bits(), odd.grid_data[1].to_bits());
         assert_eq!(back.grid_data[2].to_bits(), odd.grid_data[2].to_bits());
+    }
+
+    #[test]
+    fn encoding_is_byte_identical_to_the_recorded_v1_files() {
+        // CRC-64 and length of the whole file, as encoded by the
+        // `format!("{:016x}")`-per-value codec this one replaced.
+        let ck = sample();
+        let text = ck.encode();
+        assert_eq!(
+            (crc64(text.as_bytes()), text.len()),
+            (0x0b2f_85d6_4a3c_c8dd, 6567)
+        );
+        assert!(text.len() <= ck.encoded_capacity());
+        let mut odd = ck;
+        odd.grid_data[0] = f64::NAN;
+        odd.grid_data[1] = -0.0;
+        odd.grid_data[2] = f64::INFINITY;
+        let text = odd.encode();
+        assert_eq!(
+            (crc64(text.as_bytes()), text.len()),
+            (0x9a5c_674e_209d_1a2f, 6567)
+        );
+    }
+
+    #[test]
+    fn non_canonical_f64_lists_match_the_per_token_parser() {
+        fn per_token(s: &str) -> Result<Vec<u64>, String> {
+            s.split(',')
+                .map(|tok| parse_f64_bits("grid_data", tok))
+                .map(|r| r.map(f64::to_bits).map_err(|e| e.why))
+                .collect()
+        }
+        let strided = |s: &str| -> Result<Vec<u64>, String> {
+            parse_f64_list("grid_data", s)
+                .map(|vs| vs.into_iter().map(f64::to_bits).collect())
+                .map_err(|e| e.why)
+        };
+        let canonical = "3fe0000000000000,bff0000000000000,7ff8000000000000";
+        assert_eq!(
+            strided(canonical),
+            Ok(vec![
+                0x3fe0_0000_0000_0000,
+                0xbff0_0000_0000_0000,
+                0x7ff8_0000_0000_0000
+            ])
+        );
+        let accepted = [
+            "3FE0000000000000,bff0000000000000,7ff8000000000000", // uppercase digits
+            "3fe0000000000000,+ff0000000000000,7ff8000000000000", // `+` prefix
+            "3fe0000000000000,1,7ff8000000000000",                // 1-digit token
+        ];
+        let rejected = [
+            "3fe0000000000000,,ff0000000000000,7ff8000000000000", // empty token
+            "3fe0000000000000,bff0000000000000,",                 // trailing comma
+            "3fe00000000000000,ff0000000000000,7ff8000000000000", // 17 digits
+            "3fe0000000000000,bff000000000000g,7ff8000000000000", // non-hex byte
+        ];
+        for s in accepted {
+            assert!(strided(s).is_ok(), "{s}");
+            assert_eq!(strided(s), per_token(s), "{s}");
+        }
+        for s in rejected {
+            assert!(strided(s).is_err(), "{s}");
+            assert_eq!(strided(s), per_token(s), "{s}");
+        }
+    }
+
+    #[test]
+    fn a_large_odd_sized_grid_round_trips_bit_exactly() {
+        let mut ck = sample();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        ck.grid_data = (0..1_048_583)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                f64::from_bits(state)
+            })
+            .collect();
+        let text = ck.encode();
+        assert!(text.len() <= ck.encoded_capacity());
+        let back = Checkpoint::decode(&text, Path::new("big")).expect("round trip");
+        assert_eq!(back.grid_data.len(), ck.grid_data.len());
+        assert!(back
+            .grid_data
+            .iter()
+            .zip(&ck.grid_data)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn counts_that_do_not_fit_are_rejected_not_truncated() {
+        fn with_header(payload: &str) -> String {
+            format!(
+                "{MAGIC} crc64={:016x} payload_bytes={}\n{payload}",
+                crc64(payload.as_bytes()),
+                payload.len()
+            )
+        }
+        let text = sample().encode();
+        let payload = text.split_once('\n').unwrap().1;
+        let cases = [
+            ("dim=2\n", "dim=257\n", "field `dim`"),
+            (
+                "breaker=closed:1\n",
+                "breaker=closed:4294967296\n",
+                "field `device.breaker`",
+            ),
+        ];
+        for (from, to, want) in cases {
+            assert!(payload.contains(from), "{from}");
+            let bad = with_header(&payload.replace(from, to));
+            let err = Checkpoint::decode(&bad, Path::new("m")).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -320,7 +320,7 @@ fn every_runner_path_matches_the_recorded_digests() {
             .iter()
             .zip(&actual)
             .position(|(e, a)| e != a)
-            .unwrap_or(expected.len().min(actual.len()));
+            .unwrap_or_else(|| expected.len().min(actual.len()));
         panic!(
             "golden digests differ from {} (expected {} lines, got {}); first difference at \
              line {}:\n  expected: {}\n  actual:   {}",
