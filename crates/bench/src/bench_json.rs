@@ -42,7 +42,8 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-fn fmt_f64(v: f64) -> String {
+/// A JSON number for `v`: the shortest round-trip form.
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
     } else {

@@ -7,10 +7,10 @@
 //! baseline; `--full` also measures the full Table-4 reduced sizes;
 //! `--update-baseline` rewrites the baseline instead of gating.
 //!
-//! Thresholds (see `convstencil_bench::perf`): a tight, deterministic
-//! allocation-count gate (`PERF_GATE_MAX_ALLOC_RATIO`, default 1.5) and
-//! a loose wall-clock gate (`PERF_GATE_MIN_RATIO`, default 0.35) that
-//! only catches catastrophic slowdowns on shared CI machines.
+//! Thresholds (`GateThresholds::default()` in `convstencil_bench::perf`):
+//! a tight, deterministic allocation-count gate (1.5x) and a loose
+//! wall-clock gate (0.35x) that only catches catastrophic slowdowns on
+//! shared CI machines.
 
 use convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D};
 use convstencil_baselines::ProblemSize;
@@ -65,13 +65,6 @@ fn measure(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
         allocs: stats.calls,
         alloc_bytes: stats.bytes,
     }
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() {
@@ -132,10 +125,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let thresholds = GateThresholds {
-        min_points_ratio: env_f64("PERF_GATE_MIN_RATIO", 0.35),
-        max_alloc_ratio: env_f64("PERF_GATE_MAX_ALLOC_RATIO", 1.5),
-    };
+    let thresholds = GateThresholds::default();
     let violations = gate_violations(&baseline, &records, &thresholds);
     if violations.is_empty() {
         println!(

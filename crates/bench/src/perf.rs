@@ -5,21 +5,23 @@
 //! throughput, and the heap-allocation ledger (see [`crate::alloc_counter`]).
 //! Against a committed baseline it enforces two thresholds:
 //!
-//! * **allocation ratio** (tight, default 1.5x): allocation counts are
+//! * **allocation ratio** (tight, 1.5x): allocation counts are
 //!   deterministic, so any hot-path change that reintroduces per-block
 //!   heap traffic trips this gate even on a noisy machine;
-//! * **throughput ratio** (loose, default 0.35x): wall-clock varies
-//!   across machines and CI load, so this only catches catastrophic
-//!   slowdowns, not percent-level drift.
+//! * **throughput ratio** (loose, 0.35x): wall-clock varies across
+//!   machines and CI load, so this only catches catastrophic slowdowns,
+//!   not percent-level drift.
 //!
 //! The gate is strict about coverage: a malformed baseline record is an
 //! error, every measured record needs a baseline record of the same
 //! workload and mode, and every baseline record of a measured mode must
 //! be measured.
 //!
-//! The codec is hand-rolled like [`crate::bench_json`] (the workspace's
-//! `serde` is an API-compatibility stub).
+//! The codec is hand-rolled like [`crate::bench_json`], whose number
+//! formatting it shares (the workspace's `serde` is an
+//! API-compatibility stub).
 
+use crate::bench_json::fmt_f64;
 use crate::csv::{atomic_write, RESULTS_DIR};
 use std::path::{Path, PathBuf};
 
@@ -49,7 +51,7 @@ pub struct PerfRecord {
     pub alloc_bytes: u64,
 }
 
-/// Gate thresholds (env-overridable in the binary).
+/// Gate thresholds. `perf_gate` uses [`GateThresholds::default`].
 #[derive(Debug, Clone, Copy)]
 pub struct GateThresholds {
     /// Fail when `points_per_sec < min_points_ratio x baseline`.
@@ -64,14 +66,6 @@ impl Default for GateThresholds {
             min_points_ratio: 0.35,
             max_alloc_ratio: 1.5,
         }
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -239,6 +233,14 @@ mod tests {
         assert!(body.contains("\"pre_optimization_wall_ms\""));
         assert!(body.contains("\"Box-2D9P\":510.42"));
         assert_eq!(parse_perf_json(&body).unwrap(), records);
+    }
+
+    #[test]
+    fn committed_baseline_renders_byte_for_byte() {
+        let committed = include_str!("../../../results/BENCH_perf.json");
+        let records = parse_perf_json(committed).unwrap();
+        assert!(!records.is_empty());
+        assert_eq!(render_perf_json(&records), committed);
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Block2D {
             bx,
             bg: id % plan.blocks_g,
             rows,
-            tile_rows: rows + plan.nk - 1,
+            tile_rows: rows + plan.kernel_rows - 1,
         }
     }
 

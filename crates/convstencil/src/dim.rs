@@ -234,7 +234,7 @@ impl Dim for D1 {
         exec.verify()
     }
     fn corrupt_lut(exec: &mut Exec1D) {
-        exec.lut_mut()[0] = [1, 1];
+        exec.lut_mut().set(0, 0, [1, 1]);
     }
     fn try_build_ext(exec: &Exec1D, grid: &Grid1D) -> Result<Vec<f64>, ConvStencilError> {
         if grid.halo() >= exec.plan.radius {

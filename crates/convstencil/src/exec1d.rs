@@ -6,160 +6,33 @@
 //! outputs. One thread block covers 1024 outputs (Table 4's 1D block
 //! size) — 128 groups for `n_k = 7`.
 //!
-//! A 1D block is a 2D block with one input row: it runs the scatter,
-//! tessellation and write-back of `block.rs`. Only the variant-I transform
-//! and explicit staging stay here, because their warps differ.
+//! A 1D block is a 2D block with one input row. Its plan is the one-row
+//! [`Plan2D`], with the layout, scatter-LUT builder and static verifier
+//! of 2D, and it runs the scatter, tessellation and write-back of
+//! `block.rs`. Only the variant-I transform and explicit staging stay
+//! here, because their warps differ.
 
-use crate::block::{self, Tiles};
+use crate::block::{self, Block2D, Explicit, Tiles};
 use crate::error::ConvStencilError;
-use crate::plan::LUT_SKIP;
+use crate::plan::{Plan2D, ScatterLut};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
-use crate::weights::{WeightMatrices, FRAG_K};
+use crate::weights::WeightMatrices;
 use stencil_core::Kernel1D;
-use tcu_sim::{conflict_free_pad, BlockCtx, BufferId, Device, Phase, INACTIVE};
+use tcu_sim::{BlockCtx, BufferId, Device, Phase, INACTIVE};
 
-/// Geometry for the 1D pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Plan1D {
-    pub nk: usize,
-    pub radius: usize,
-    /// Output length.
-    pub n: usize,
-    /// Column groups per block.
-    pub block_groups: usize,
-    pub blocks: usize,
-    /// Extended array geometry (offset of interior cell 0 is `lc`).
-    pub ext_len: usize,
-    pub lc: usize,
-    pub span: usize,
-    pub pre: usize,
-    pub span_aligned: usize,
-    /// Shared row stride of the stencil2row tiles.
-    pub stride: usize,
-    pub raw_cols: usize,
-    pub pad: usize,
-    pub a_off: usize,
-    pub b_off: usize,
-    pub wa_off: usize,
-    pub wb_off: usize,
-    pub shared_total: usize,
-    pub krows: usize,
-}
-
-impl Plan1D {
-    /// Plan the paper's 1D block (about 1024 outputs) for `n` outputs.
-    pub fn try_new(n: usize, nk: usize, variant: VariantConfig) -> Result<Self, ConvStencilError> {
-        if !(nk % 2 == 1 && (3..=7).contains(&nk)) {
-            return Err(ConvStencilError::UnsupportedNk { nk });
-        }
-        if n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![n] });
-        }
-        let radius = (nk - 1) / 2;
-        let krows = nk.div_ceil(FRAG_K) * FRAG_K;
-        // Cover ~1024 outputs per block (Table 4), in multiples of 8
-        // groups.
-        let block_groups = ((1024 / (nk + 1)) / 8 * 8).max(8);
-        let groups_needed = n.div_ceil(nk + 1);
-        let blocks = groups_needed.div_ceil(block_groups);
-        let lc = 4;
-        let covered = blocks * block_groups * (nk + 1);
-        let ext_len = (lc + covered + nk).div_ceil(4) * 4;
-        let span = block_groups * (nk + 1) + nk - 1;
-        let first = lc - radius;
-        let pre = first - (first & !3);
-        let span_aligned = (pre + span).div_ceil(4) * 4;
-        let raw_cols = nk;
-        let pad = if variant.padding {
-            let p = conflict_free_pad(raw_cols, 32);
-            if variant.dirty_bits_lut && p == 0 {
-                16
-            } else {
-                p
-            }
-        } else {
-            0
-        };
-        let stride = raw_cols + pad;
-        // Fragment chunks read up to krows elements from a row; anything
-        // past the stride lands in the following row (zero weights), and
-        // the final row needs a tail margin.
-        let tail = krows.saturating_sub(stride);
-        let tile_size = block_groups * stride + tail;
-        let a_off = 0;
-        let b_off = tile_size;
-        let wa_off = 2 * tile_size;
-        let wb_off = wa_off + krows * 8;
-        let shared_total = wb_off + krows * 8;
-        Ok(Self {
-            nk,
-            radius,
-            n,
-            block_groups,
-            blocks,
-            ext_len,
-            lc,
-            span,
-            pre,
-            span_aligned,
-            stride,
-            raw_cols,
-            pad,
-            a_off,
-            b_off,
-            wa_off,
-            wb_off,
-            shared_total,
-            krows,
-        })
-    }
-
-    pub fn read_col0(&self, b: usize) -> usize {
-        ((self.lc - self.radius) & !3) + b * self.block_groups * (self.nk + 1)
-    }
-
-    /// Build the extended array from a 1D grid.
-    pub fn try_build_ext(&self, grid: &stencil_core::Grid1D) -> Result<Vec<f64>, ConvStencilError> {
-        if grid.len() != self.n {
-            return Err(ConvStencilError::ShapeMismatch {
-                expected: vec![self.n],
-                got: vec![grid.len()],
-            });
-        }
-        let h = grid.halo();
-        if h < self.radius {
-            return Err(ConvStencilError::HaloTooSmall {
-                halo: h,
-                radius: self.radius,
-            });
-        }
-        let mut ext = vec![0.0; self.ext_len];
-        for (c, e) in ext.iter_mut().enumerate() {
-            let py = (c + h).wrapping_sub(self.lc);
-            if py < grid.padded_len() {
-                *e = grid.padded()[py];
-            }
-        }
-        Ok(ext)
-    }
-
-    /// Extract the interior from an extended array.
-    pub fn extract_into(&self, ext: &[f64], grid: &mut stencil_core::Grid1D) {
-        for i in 0..self.n {
-            grid.set(i, ext[i + self.lc]);
-        }
-    }
-}
-
-/// Precompiled 1D executor.
+/// Precompiled 1D executor: the one-row plan, its scatter LUT and the
+/// weights.
 #[derive(Debug, Clone)]
 pub struct Exec1D {
-    pub plan: Plan1D,
+    /// The 1D plan: the [`Plan2D`] of one row (see
+    /// [`Plan2D::try_new_1d`]).
+    pub plan: Plan2D,
     pub variant: VariantConfig,
     pub weights: WeightMatrices,
-    /// `(A shared address, B shared address)` per aligned read lane.
-    lut: Vec<[u32; 2]>,
+    /// One tile row: `(A shared address, B shared address)` per aligned
+    /// read lane.
+    lut: ScatterLut,
     /// Non-zero kernel taps `(0, k, w)` for the CUDA-core path.
     taps: Vec<(usize, usize, f64)>,
     /// Input column -> (in_a, group, offset).
@@ -174,47 +47,10 @@ impl Exec1D {
         n: usize,
         variant: VariantConfig,
     ) -> Result<Self, ConvStencilError> {
-        let plan = Plan1D::try_new(n, kernel.nk(), variant)?;
+        let plan = Plan2D::try_new_1d(n, kernel.nk(), variant)?;
         block::check_block_groups(plan.block_groups)?;
         let weights = WeightMatrices::from_kernel1d(kernel);
-        let nk = plan.nk;
-        let mut lut = vec![[LUT_SKIP, LUT_SKIP]; plan.span_aligned];
-        for (i, e) in lut.iter_mut().enumerate() {
-            let c = i as isize - plan.pre as isize;
-            if c < 0 || c as usize >= plan.span {
-                if variant.dirty_bits_lut {
-                    e[0] = (plan.a_off + plan.raw_cols) as u32;
-                    e[1] = (plan.b_off + plan.raw_cols) as u32;
-                }
-                continue;
-            }
-            let c = c as usize;
-            let g = c / (nk + 1);
-            let off = c % (nk + 1);
-            e[0] = if off != nk && g < plan.block_groups {
-                (plan.a_off + g * plan.stride + off) as u32
-            } else if variant.dirty_bits_lut {
-                (plan.a_off + g.min(plan.block_groups - 1) * plan.stride + plan.raw_cols) as u32
-            } else {
-                LUT_SKIP
-            };
-            e[1] = match c.checked_sub(nk) {
-                Some(cb) if cb < plan.span - nk => {
-                    let gb = cb / (nk + 1);
-                    let offb = cb % (nk + 1);
-                    if offb != nk && gb < plan.block_groups {
-                        (plan.b_off + gb * plan.stride + offb) as u32
-                    } else if variant.dirty_bits_lut {
-                        (plan.b_off + gb.min(plan.block_groups - 1) * plan.stride + plan.raw_cols)
-                            as u32
-                    } else {
-                        LUT_SKIP
-                    }
-                }
-                _ if variant.dirty_bits_lut => (plan.b_off + plan.raw_cols) as u32,
-                _ => LUT_SKIP,
-            };
-        }
+        let lut = plan.build_scatter_lut(variant);
         let taps = kernel
             .weights()
             .iter()
@@ -222,7 +58,7 @@ impl Exec1D {
             .filter(|(_, &w)| w != 0.0)
             .map(|(i, &w)| (0, i, w))
             .collect();
-        let colmap = block::colmap(plan.span, nk, plan.block_groups);
+        let colmap = block::colmap(plan.span, plan.nk, plan.block_groups);
         Ok(Self {
             plan,
             variant,
@@ -234,26 +70,26 @@ impl Exec1D {
     }
 
     pub fn shared_len(&self) -> usize {
-        self.plan.shared_total
+        self.plan.layout.total
     }
 
     /// Read access to the scatter lookup table.
-    pub fn lut(&self) -> &[[u32; 2]] {
+    pub fn lut(&self) -> &ScatterLut {
         &self.lut
     }
 
     /// Mutable access to the scatter lookup table — diagnostic hook for
     /// the static verifier's negative controls (`check --mutate-lut`,
     /// mutation property tests). Kernels never call this.
-    pub fn lut_mut(&mut self) -> &mut Vec<[u32; 2]> {
+    pub fn lut_mut(&mut self) -> &mut ScatterLut {
         &mut self.lut
     }
 
     /// Run the static plan verifier over this executor's plan, lookup
     /// table, and weight matrices (see [`crate::verify_plan`]).
     pub fn verify(&self) -> Result<(), ConvStencilError> {
-        verify_plan::verify_plan_1d(&self.plan, self.variant)?;
-        verify_plan::verify_lut_1d(&self.plan, &self.lut, self.variant)?;
+        verify_plan::verify_layout_2d(&self.plan, self.variant)?;
+        verify_plan::verify_lut_2d(&self.plan, &self.lut, self.variant)?;
         verify_plan::verify_weights(&self.weights)
     }
 
@@ -274,33 +110,21 @@ impl Exec1D {
             self.run_transform(dev, ext_in, bufs)?;
         }
         let p = &self.plan;
-        let tiles = Tiles {
-            a: p.a_off,
-            b: p.b_off,
-            stride: p.stride,
-            groups: p.block_groups,
-        };
+        let tiles = Tiles::of(&p.layout, 0);
         dev.set_write_hint(p.block_groups * (p.nk + 1));
-        dev.try_launch(p.blocks, self.shared_len(), |bid, ctx| {
+        dev.try_launch(p.num_blocks(), self.shared_len(), |bid, ctx| {
             ctx.phase(Phase::SmemScatter);
-            block::exempt_padding(ctx, &tiles, p.raw_cols);
+            block::exempt_padding(ctx, &tiles, p.layout.raw_cols);
             match explicit {
                 Some(bufs) => self.stage_from_global(ctx, bufs, bid),
                 None => {
-                    let lut_mode = self.variant.dirty_bits_lut;
-                    block::scatter_row(ctx, ext_in, p.read_col0(bid), &self.lut, 0, lut_mode);
+                    let (lut, lut_mode) = (self.lut.row(0), self.variant.dirty_bits_lut);
+                    block::scatter_row(ctx, ext_in, p.read_col0(bid), lut, 0, lut_mode);
                 }
             }
-            let out = block::Out {
-                buf: ext_out,
-                base: p.lc,
-                row_stride: 0,
-                n: p.n,
-                x0: 0,
-                y0: bid * p.block_groups * (p.nk + 1),
-            };
+            let out = Block2D::new(p, bid).out(p, ext_out, 0);
             if self.variant.use_tcu {
-                block::compute_tcu(ctx, &tiles, &self.weights, p.wa_off, 1, &out);
+                block::compute_tcu(ctx, &tiles, &self.weights, p.layout.wa_off, 1, &out);
             } else {
                 block::compute_cuda(ctx, &tiles, &self.colmap, &self.taps, p.nk, 1, &out);
             }
@@ -309,11 +133,8 @@ impl Exec1D {
     }
 
     pub fn alloc_explicit(&self, dev: &mut Device) -> (BufferId, BufferId) {
-        let rows = self.plan.blocks * self.plan.block_groups;
-        (
-            dev.alloc(rows * self.plan.nk),
-            dev.alloc(rows * self.plan.nk),
-        )
+        let (rows, cols) = Explicit::dims(&self.plan);
+        (dev.alloc(rows * cols), dev.alloc(rows * cols))
     }
 
     /// Variant-I transform. It stays 1D-specific: a 1D stencil2row row is
@@ -327,15 +148,15 @@ impl Exec1D {
     ) -> Result<(), ConvStencilError> {
         let p = &self.plan;
         let nk = p.nk;
-        let rows = p.blocks * p.block_groups;
+        let (rows, _) = Explicit::dims(p);
         let chunk = 4096usize;
-        let num_blocks = p.ext_len.div_ceil(chunk);
+        let num_blocks = p.ext_cols.div_ceil(chunk);
         let first = p.lc - p.radius;
         dev.set_write_hint(2 * chunk);
         dev.try_launch(num_blocks, 64, |bid, ctx| {
             ctx.phase(Phase::LayoutTransform);
             let c0 = bid * chunk;
-            let c1 = (c0 + chunk).min(p.ext_len);
+            let c1 = (c0 + chunk).min(p.ext_cols);
             let mut vals = vec![0.0f64; c1 - c0];
             ctx.gmem_read_span_into(ext_in, c0, &mut vals);
             let mut a_addrs = [INACTIVE; 32];
@@ -389,13 +210,14 @@ impl Exec1D {
         let mut vals = vec![0.0f64; p.block_groups * nk];
         let mut addrs = [0usize; 32];
         let mut avals = [0.0f64; 32];
-        for (buf, base_off) in [(bufs.0, p.a_off), (bufs.1, p.b_off)] {
+        let lay = &p.layout;
+        for (buf, base_off) in [(bufs.0, lay.a_off), (bufs.1, lay.b_off)] {
             ctx.gmem_read_span_into(buf, g0 * nk, &mut vals);
             ctx.count_int(vals.len() as u64);
             let mut lane = 0usize;
             for g in 0..p.block_groups {
                 for off in 0..nk {
-                    addrs[lane] = base_off + g * p.stride + off;
+                    addrs[lane] = base_off + g * lay.stride + off;
                     avals[lane] = vals[g * nk + off];
                     lane += 1;
                     if lane == 32 {
@@ -415,7 +237,7 @@ impl Exec1D {
 pub fn try_halo_exchange_1d(
     dev: &mut Device,
     ext: BufferId,
-    plan: &Plan1D,
+    plan: &Plan2D,
 ) -> Result<(), ConvStencilError> {
     let (n, r, lc) = (plan.n, plan.radius, plan.lc);
     if n < r {
@@ -439,9 +261,10 @@ pub fn try_halo_exchange_1d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ConvStencil1D;
     use crate::dim::{try_run_applications, D1};
     use stencil_core::reference::run1d;
-    use stencil_core::{assert_close_default, fuse1d, Boundary, Grid1D};
+    use stencil_core::{assert_close_default, fuse1d, Boundary, Grid1D, Shape};
 
     fn check(kernel: &Kernel1D, n: usize, apps: usize, variant: VariantConfig) {
         let mut grid = Grid1D::new(n, kernel.radius());
@@ -535,7 +358,42 @@ mod tests {
 
     #[test]
     fn block_covers_1024_outputs_at_nk7() {
-        let plan = Plan1D::try_new(100_000, 7, VariantConfig::conv_stencil()).unwrap();
+        let plan = Plan2D::try_new_1d(100_000, 7, VariantConfig::conv_stencil()).unwrap();
         assert_eq!(plan.block_groups * (plan.nk + 1), 1024);
+        assert_eq!((plan.m, plan.block_rows, plan.tile_rows()), (1, 1, 1));
+        assert_eq!(
+            (plan.ext_rows, plan.lr, plan.layout.raw_cols, plan.krows),
+            (1, 0, 7, 8)
+        );
+    }
+
+    #[test]
+    fn dirty_bits_without_padding_is_rejected_before_launch() {
+        // Without padding the dirty slots would alias the next group row:
+        // the plan rejects the variant before any launch, as in 2D and 3D.
+        let variant = VariantConfig {
+            dirty_bits_lut: true,
+            padding: false,
+            explicit_global: false,
+            use_tcu: true,
+        };
+        let heat = Shape::Heat1D.kernel1d().unwrap();
+        assert!(matches!(
+            Exec1D::try_new(&heat, 4096, variant),
+            Err(ConvStencilError::PlanInvariant { .. })
+        ));
+        let runner = ConvStencil1D::new(heat).with_variant(variant);
+        let mut grid = Grid1D::new(4096, runner.fused_kernel().radius());
+        grid.fill_random(5);
+        assert!(matches!(
+            runner.try_run(&grid, 3),
+            Err(ConvStencilError::PlanInvariant { .. })
+        ));
+        let mut dev = runner.pool_device(None);
+        assert!(matches!(
+            runner.try_run_on_device(&mut dev, &grid, 3),
+            Err(ConvStencilError::PlanInvariant { .. })
+        ));
+        assert_eq!(dev.launch_stats.kernel_launches, 0);
     }
 }

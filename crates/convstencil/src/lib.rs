@@ -48,7 +48,5 @@ pub use exec3d::Exec3D;
 pub use plan::{Plan2D, ScatterLut};
 pub use profile::{PhaseSummary, Profile};
 pub use variants::VariantConfig;
-pub use verify_plan::{
-    verify_layout_2d, verify_lut_1d, verify_lut_2d, verify_plan_1d, verify_weights,
-};
+pub use verify_plan::{verify_layout_2d, verify_lut_2d, verify_weights};
 pub use weights::WeightMatrices;

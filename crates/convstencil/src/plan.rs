@@ -7,12 +7,17 @@
 //! 32 output rows x 8 column groups (= 64 output columns for `n_k = 7`),
 //! which makes the stencil2row A tile exactly `8 x 266` doubles for
 //! Box-2D49P — the very matrix the paper's Fig. 5 pads to 268 columns.
+//!
+//! One [`Plan2D`] serves every dimension. A 3D block stages planes of
+//! the 2D plan, and a 1D plan is the 2D plan of a one-row grid whose
+//! kernel has one row (§4.1): one output row per block, one tile row per
+//! stencil2row row, one row of lookup table.
 
 use crate::error::ConvStencilError;
 use crate::variants::VariantConfig;
 use crate::weights::FRAG_K;
 use serde::{Deserialize, Serialize};
-use stencil_core::Grid2D;
+use stencil_core::{Grid1D, Grid2D};
 use tcu_sim::conflict_free_pad;
 
 /// Sentinel LUT address: element not stored (branch variants skip it).
@@ -44,19 +49,21 @@ pub struct SharedLayout {
 
 impl SharedLayout {
     /// Compute the layout for a block of `block_rows` output rows and
-    /// `block_groups` column groups with kernel edge `nk` and padded
-    /// weight-row count `krows`.
+    /// `block_groups` column groups with kernel edge `nk`, `kernel_rows`
+    /// kernel rows (1 in 1D, `nk` otherwise) and padded weight-row count
+    /// `krows`.
     pub fn new(
         nk: usize,
+        kernel_rows: usize,
         block_rows: usize,
         block_groups: usize,
         krows: usize,
         variant: VariantConfig,
     ) -> Self {
         // A tile row holds nk elements per input row over
-        // block_rows + nk - 1 input rows (266 for Box-2D49P's 32-row
-        // block — the paper's Fig. 5 example).
-        let raw_cols = nk * (block_rows + nk - 1);
+        // block_rows + kernel_rows - 1 input rows (266 for Box-2D49P's
+        // 32-row block — the paper's Fig. 5 example; nk in 1D).
+        let raw_cols = nk * (block_rows + kernel_rows - 1);
         let pad = if variant.padding {
             let p = conflict_free_pad(raw_cols, 32);
             if variant.dirty_bits_lut && p == 0 {
@@ -112,17 +119,22 @@ impl SharedLayout {
     }
 }
 
-/// Full plan for one 2D ConvStencil (or one 3D plane) pipeline.
+/// Full plan for one 2D ConvStencil pipeline, one 3D plane, or a 1D grid
+/// as one row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Plan2D {
     pub nk: usize,
     pub radius: usize,
-    /// Output interior rows / columns.
+    /// Kernel rows: 1 in 1D, `nk` in 2D and in 3D planes. It follows
+    /// from the dimension, never from the caller.
+    pub kernel_rows: usize,
+    /// Output interior rows (1 in 1D) / columns.
     pub m: usize,
     pub n: usize,
-    /// Output rows per block (32 per Table 4 in 2D, 8 in 3D).
+    /// Output rows per block (32 per Table 4 in 2D, 8 in 3D, 1 in 1D).
     pub block_rows: usize,
-    /// Column groups per block (8 in 2D — 64 columns at n_k = 7).
+    /// Column groups per block (8 in 2D — 64 columns at n_k = 7; about
+    /// 1024 outputs in 1D).
     pub block_groups: usize,
     /// Blocks along rows / along column-group bands.
     pub blocks_x: usize,
@@ -141,11 +153,23 @@ pub struct Plan2D {
     pub span_aligned: usize,
     /// Shared layout.
     pub layout: SharedLayout,
-    /// Padded weight-matrix rows (`4⌈n_k²/4⌉`).
+    /// Padded weight-matrix rows (`4⌈kernel_rows·n_k/4⌉`).
     pub krows: usize,
 }
 
 impl Plan2D {
+    /// Plan the paper's 1D block for `n` outputs: one row, about 1024
+    /// outputs (Table 4) in whole 8-group bands — 128 groups at
+    /// `n_k = 7`.
+    pub fn try_new_1d(
+        n: usize,
+        nk: usize,
+        variant: VariantConfig,
+    ) -> Result<Self, ConvStencilError> {
+        let groups = ((1024 / (nk + 1)) / 8 * 8).max(8);
+        Self::try_plan(1, n, nk, 1, 1, groups, variant)
+    }
+
     /// Plan with the paper's 2D block shape (32 x 8 groups).
     pub fn try_new_2d(
         m: usize,
@@ -182,11 +206,28 @@ impl Plan2D {
         block_groups: usize,
         variant: VariantConfig,
     ) -> Result<Self, ConvStencilError> {
+        Self::try_plan(m, n, nk, nk, block_rows, block_groups, variant)
+    }
+
+    fn try_plan(
+        m: usize,
+        n: usize,
+        nk: usize,
+        kernel_rows: usize,
+        block_rows: usize,
+        block_groups: usize,
+        variant: VariantConfig,
+    ) -> Result<Self, ConvStencilError> {
         if !(nk % 2 == 1 && (3..=7).contains(&nk)) {
             return Err(ConvStencilError::UnsupportedNk { nk });
         }
         if m == 0 || n == 0 {
-            return Err(ConvStencilError::ZeroSizedGrid { dims: vec![m, n] });
+            let dims = if kernel_rows == 1 {
+                vec![n]
+            } else {
+                vec![m, n]
+            };
+            return Err(ConvStencilError::ZeroSizedGrid { dims });
         }
         if block_rows == 0 || block_groups == 0 {
             return Err(ConvStencilError::PlanInvariant {
@@ -194,14 +235,14 @@ impl Plan2D {
             });
         }
         let radius = (nk - 1) / 2;
-        let krows = (nk * nk).div_ceil(FRAG_K) * FRAG_K;
+        let krows = (kernel_rows * nk).div_ceil(FRAG_K) * FRAG_K;
         let groups_needed = n.div_ceil(nk + 1);
         let blocks_g = groups_needed.div_ceil(block_groups);
         let blocks_x = m.div_ceil(block_rows);
-        let lr = radius;
+        let lr = (kernel_rows - 1) / 2;
         let lc = 4; // sector-aligned interior column offset (>= radius)
         let covered = blocks_g * block_groups * (nk + 1);
-        let ext_rows = m + nk - 1;
+        let ext_rows = m + kernel_rows - 1;
         let ext_cols = (lc + covered + nk).div_ceil(4) * 4;
         let span = block_groups * (nk + 1) + nk - 1;
         // Block bg reads ext columns starting at lc - radius + bg·BG(nk+1);
@@ -211,7 +252,7 @@ impl Plan2D {
         let aligned_first = first & !3;
         let pre = first - aligned_first;
         let span_aligned = (pre + span).div_ceil(4) * 4;
-        let layout = SharedLayout::new(nk, block_rows, block_groups, krows, variant);
+        let layout = SharedLayout::new(nk, kernel_rows, block_rows, block_groups, krows, variant);
         if variant.dirty_bits_lut && layout.pad == 0 {
             return Err(ConvStencilError::PlanInvariant {
                 reason: "dirty bits need padding (dirty_bits_lut requires the padding \
@@ -222,6 +263,7 @@ impl Plan2D {
         Ok(Self {
             nk,
             radius,
+            kernel_rows,
             m,
             n,
             block_rows,
@@ -238,6 +280,21 @@ impl Plan2D {
             layout,
             krows,
         })
+    }
+
+    /// Interior extents, outermost first: `[n]` for a 1D plan, `[m, n]`
+    /// otherwise.
+    fn extents(&self) -> Vec<usize> {
+        if self.kernel_rows == 1 {
+            vec![self.n]
+        } else {
+            vec![self.m, self.n]
+        }
+    }
+
+    /// Input rows a full block stages: the scatter lookup table's rows.
+    pub fn tile_rows(&self) -> usize {
+        self.block_rows + self.kernel_rows - 1
     }
 
     /// Total thread blocks per kernel launch.
@@ -262,11 +319,11 @@ impl Plan2D {
 
     /// Build the extended array from a grid (interior + available halo;
     /// zero beyond). The grid's halo must be at least `radius`.
-    pub fn try_build_ext(&self, grid: &Grid2D) -> Result<Vec<f64>, ConvStencilError> {
-        if grid.rows() != self.m || grid.cols() != self.n {
+    pub fn try_build_ext<G: PlanGrid>(&self, grid: &G) -> Result<Vec<f64>, ConvStencilError> {
+        if grid.extents() != self.extents() {
             return Err(ConvStencilError::ShapeMismatch {
-                expected: vec![self.m, self.n],
-                got: vec![grid.rows(), grid.cols()],
+                expected: self.extents(),
+                got: grid.extents(),
             });
         }
         let h = grid.halo();
@@ -277,17 +334,14 @@ impl Plan2D {
             });
         }
         let mut ext = vec![0.0; self.ext_rows * self.ext_cols];
-        let (prows, pcols) = (grid.padded_rows(), grid.padded_cols());
-        for r in 0..self.ext_rows {
-            let px = r + h - self.radius;
-            if px >= prows {
+        for (r, ext_row) in ext.chunks_exact_mut(self.ext_cols).enumerate() {
+            let Some(row) = grid.padded_row(r as isize - self.lr as isize) else {
                 continue;
-            }
-            for c in 0..self.ext_cols {
+            };
+            for (c, e) in ext_row.iter_mut().enumerate() {
                 // ext col c corresponds to grid padded col c + h - lc.
-                let py = (c + h).wrapping_sub(self.lc);
-                if py < pcols {
-                    ext[r * self.ext_cols + c] = grid.padded()[px * pcols + py];
+                if let Some(&v) = row.get((c + h).wrapping_sub(self.lc)) {
+                    *e = v;
                 }
             }
         }
@@ -295,11 +349,11 @@ impl Plan2D {
     }
 
     /// Extract the interior from an extended array into `grid`.
-    pub fn extract_into(&self, ext: &[f64], grid: &mut Grid2D) {
+    pub fn extract_into<G: PlanGrid>(&self, ext: &[f64], grid: &mut G) {
         assert_eq!(ext.len(), self.ext_rows * self.ext_cols);
         for x in 0..self.m {
             for y in 0..self.n {
-                grid.set(x, y, ext[self.ext_idx(x, y)]);
+                grid.set_cell(x, y, ext[self.ext_idx(x, y)]);
             }
         }
     }
@@ -312,7 +366,7 @@ impl Plan2D {
     /// slots instead of being skipped — the scatter becomes branch-free.
     pub fn build_scatter_lut(&self, variant: VariantConfig) -> ScatterLut {
         let nk = self.nk;
-        let tile_rows = self.block_rows + nk - 1;
+        let tile_rows = self.tile_rows();
         let lay = &self.layout;
         let mut entries = vec![[LUT_SKIP, LUT_SKIP]; tile_rows * self.span_aligned];
         for t in 0..tile_rows {
@@ -360,6 +414,52 @@ impl Plan2D {
             entries,
             span_aligned: self.span_aligned,
         }
+    }
+}
+
+/// A grid a [`Plan2D`] lays out in its extended array: a 2D grid, or a
+/// 1D grid as one row without halo rows.
+pub trait PlanGrid {
+    /// Interior extents, outermost first.
+    fn extents(&self) -> Vec<usize>;
+    /// Halo width.
+    fn halo(&self) -> usize;
+    /// Padded storage of interior row `x` (negative in the halo rows), if
+    /// the grid has that row.
+    fn padded_row(&self, x: isize) -> Option<&[f64]>;
+    /// Set interior cell `(x, y)`.
+    fn set_cell(&mut self, x: usize, y: usize, v: f64);
+}
+
+impl PlanGrid for Grid1D {
+    fn extents(&self) -> Vec<usize> {
+        vec![self.len()]
+    }
+    fn halo(&self) -> usize {
+        Grid1D::halo(self)
+    }
+    fn padded_row(&self, x: isize) -> Option<&[f64]> {
+        (x == 0).then(|| self.padded())
+    }
+    fn set_cell(&mut self, _x: usize, y: usize, v: f64) {
+        self.set(y, v)
+    }
+}
+
+impl PlanGrid for Grid2D {
+    fn extents(&self) -> Vec<usize> {
+        vec![self.rows(), self.cols()]
+    }
+    fn halo(&self) -> usize {
+        Grid2D::halo(self)
+    }
+    fn padded_row(&self, x: isize) -> Option<&[f64]> {
+        let px = usize::try_from(x + Grid2D::halo(self) as isize).ok()?;
+        let cols = self.padded_cols();
+        self.padded().get(px * cols..(px + 1) * cols)
+    }
+    fn set_cell(&mut self, x: usize, y: usize, v: f64) {
+        self.set(x, y, v)
     }
 }
 
@@ -601,6 +701,26 @@ mod tests {
         assert_eq!(
             plan.try_build_ext(&thin_halo),
             Err(ConvStencilError::HaloTooSmall { halo: 1, radius: 3 })
+        );
+        // A 1D grid is one row of a 1D plan, and of no 2D plan.
+        assert_eq!(
+            plan.try_build_ext(&Grid1D::new(30, 3)),
+            Err(ConvStencilError::ShapeMismatch {
+                expected: vec![20, 30],
+                got: vec![30],
+            })
+        );
+        let plan1 = Plan2D::try_new_1d(30, 7, v5()).unwrap();
+        assert_eq!(
+            plan1.try_build_ext(&Grid2D::new(1, 30, 3)),
+            Err(ConvStencilError::ShapeMismatch {
+                expected: vec![30],
+                got: vec![1, 30],
+            })
+        );
+        assert_eq!(
+            Plan2D::try_new_1d(0, 7, v5()),
+            Err(ConvStencilError::ZeroSizedGrid { dims: vec![0] })
         );
     }
 

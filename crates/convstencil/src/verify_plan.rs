@@ -28,7 +28,6 @@
 //! `tests/property_based.rs`).
 
 use crate::error::ConvStencilError;
-use crate::exec1d::Plan1D;
 use crate::plan::{Plan2D, ScatterLut, LUT_SKIP};
 use crate::stencil2row::{map_a, map_b};
 use crate::variants::VariantConfig;
@@ -47,16 +46,25 @@ macro_rules! ensure {
     };
 }
 
-/// Check the 2D shared-memory layout arithmetic and, when the padding
-/// optimization is on, that the padded stride is bank-conflict-free.
+/// Check the shared-memory layout arithmetic of a plan (1D, 2D or a 3D
+/// plane) and, when the padding optimization is on, that the padded
+/// stride is bank-conflict-free.
 pub fn verify_layout_2d(plan: &Plan2D, variant: VariantConfig) -> Result<(), ConvStencilError> {
     let lay = &plan.layout;
     let nk = plan.nk;
+    let rows = plan.kernel_rows;
     ensure!(
-        lay.raw_cols == nk * (plan.block_rows + nk - 1),
-        "raw_cols {} != nk*(block_rows+nk-1) = {}",
+        rows == nk || (rows == 1 && plan.m == 1 && plan.block_rows == 1),
+        "kernel rows {rows} is neither n_k = {nk} nor the one row of a 1D plan \
+         (m {}, block_rows {})",
+        plan.m,
+        plan.block_rows
+    );
+    ensure!(
+        lay.raw_cols == nk * (plan.block_rows + rows - 1),
+        "raw_cols {} != nk*(block_rows+kernel_rows-1) = {}",
         lay.raw_cols,
-        nk * (plan.block_rows + nk - 1)
+        nk * (plan.block_rows + rows - 1)
     );
     ensure!(
         lay.stride == lay.raw_cols + lay.pad,
@@ -119,8 +127,9 @@ pub fn verify_layout_2d(plan: &Plan2D, variant: VariantConfig) -> Result<(), Con
 }
 
 /// The lookup-table entry the Eq. 5/6 maps predict for tile row `t`,
-/// aligned lane `i` of a 2D plan. Dirty addresses replicate the shipped
-/// dirty-slot assignment (row-clamped first padding column).
+/// aligned lane `i` of a plan (a 1D plan has the one tile row `t = 0`).
+/// Dirty addresses replicate the shipped dirty-slot assignment
+/// (row-clamped first padding column).
 fn expected_entry_2d(plan: &Plan2D, variant: VariantConfig, t: usize, i: usize) -> [u32; 2] {
     let nk = plan.nk;
     let lay = &plan.layout;
@@ -149,9 +158,9 @@ fn expected_entry_2d(plan: &Plan2D, variant: VariantConfig, t: usize, i: usize) 
     [a, b]
 }
 
-/// Verify a 2D/3D-plane scatter lookup table: analytic-map agreement for
-/// every entry, totality + injectivity over the useful tile cells, and
-/// dirty entries confined to padding columns.
+/// Verify a 1D, 2D or 3D-plane scatter lookup table: analytic-map
+/// agreement for every entry, totality + injectivity over the useful tile
+/// cells, and dirty entries confined to padding columns.
 pub fn verify_lut_2d(
     plan: &Plan2D,
     lut: &ScatterLut,
@@ -159,7 +168,7 @@ pub fn verify_lut_2d(
 ) -> Result<(), ConvStencilError> {
     let nk = plan.nk;
     let lay = &plan.layout;
-    let tile_rows = plan.block_rows + nk - 1;
+    let tile_rows = plan.block_rows + plan.kernel_rows - 1;
     ensure!(
         lut.len() == tile_rows * plan.span_aligned,
         "LUT has {} entries, plan needs tile_rows {} x span_aligned {}",
@@ -226,159 +235,6 @@ pub fn verify_lut_2d(
             hit_b.iter().filter(|&&h| !h).count()
         );
     }
-    Ok(())
-}
-
-/// Check the 1D plan arithmetic (the 1D analog of
-/// [`verify_layout_2d`]).
-pub fn verify_plan_1d(plan: &Plan1D, variant: VariantConfig) -> Result<(), ConvStencilError> {
-    ensure!(
-        plan.raw_cols == plan.nk,
-        "1D raw_cols {} != nk {}",
-        plan.raw_cols,
-        plan.nk
-    );
-    ensure!(
-        plan.stride == plan.raw_cols + plan.pad,
-        "1D stride {} != raw_cols {} + pad {}",
-        plan.stride,
-        plan.raw_cols,
-        plan.pad
-    );
-    if variant.dirty_bits_lut {
-        ensure!(
-            plan.pad >= 1,
-            "dirty-bits variant needs pad >= 1 (got {})",
-            plan.pad
-        );
-    }
-    if variant.padding {
-        ensure!(
-            stride_is_conflict_free(plan.stride, 32),
-            "1D padded stride {} is not bank-conflict-free on 32 banks",
-            plan.stride
-        );
-    }
-    ensure!(
-        plan.block_groups.is_multiple_of(8),
-        "1D groups per block {} is not a whole number of 8-group tessellation bands",
-        plan.block_groups
-    );
-    let tile_size = plan.b_off - plan.a_off;
-    ensure!(
-        plan.a_off == 0 && tile_size >= plan.block_groups * plan.stride,
-        "1D tile region too small: b_off {} < block_groups {} x stride {}",
-        plan.b_off,
-        plan.block_groups,
-        plan.stride
-    );
-    ensure!(
-        plan.wa_off == plan.b_off + tile_size
-            && plan.wb_off == plan.wa_off + plan.krows * 8
-            && plan.shared_total == plan.wb_off + plan.krows * 8,
-        "1D weight regions misplaced (wa_off {}, wb_off {}, total {})",
-        plan.wa_off,
-        plan.wb_off,
-        plan.shared_total
-    );
-    Ok(())
-}
-
-/// The 1D lookup-table entry the Eq. 5/6 maps predict for aligned lane
-/// `i` (a 1D tile has a single logical row, `x = 0`).
-fn expected_entry_1d(plan: &Plan1D, variant: VariantConfig, i: usize) -> [u32; 2] {
-    let nk = plan.nk;
-    let c = i as isize - plan.pre as isize;
-    let in_span = c >= 0 && (c as usize) < plan.span;
-    let dirty = variant.dirty_bits_lut;
-    let a = match in_span.then(|| map_a(0, c as usize, nk)).flatten() {
-        Some((g, col)) if g < plan.block_groups => (plan.a_off + g * plan.stride + col) as u32,
-        _ if dirty => {
-            let g = if in_span {
-                (c as usize / (nk + 1)).min(plan.block_groups - 1)
-            } else {
-                0
-            };
-            (plan.a_off + g * plan.stride + plan.raw_cols) as u32
-        }
-        _ => LUT_SKIP,
-    };
-    let b = match in_span.then(|| map_b(0, c as usize, nk)).flatten() {
-        Some((g, col)) if g < plan.block_groups => (plan.b_off + g * plan.stride + col) as u32,
-        _ if dirty => {
-            let g = match in_span.then(|| (c as usize).checked_sub(nk)).flatten() {
-                Some(cb) => (cb / (nk + 1)).min(plan.block_groups - 1),
-                None => 0,
-            };
-            (plan.b_off + g * plan.stride + plan.raw_cols) as u32
-        }
-        _ => LUT_SKIP,
-    };
-    [a, b]
-}
-
-/// Verify a 1D scatter lookup table (flat `Vec` form): analytic-map
-/// agreement, totality + injectivity, dirty-in-padding.
-pub fn verify_lut_1d(
-    plan: &Plan1D,
-    lut: &[[u32; 2]],
-    variant: VariantConfig,
-) -> Result<(), ConvStencilError> {
-    let nk = plan.nk;
-    ensure!(
-        lut.len() == plan.span_aligned,
-        "1D LUT has {} entries, plan needs span_aligned {}",
-        lut.len(),
-        plan.span_aligned
-    );
-    let mut hit_a = vec![false; plan.block_groups * nk];
-    let mut hit_b = vec![false; plan.block_groups * nk];
-    for (i, &got) in lut.iter().enumerate() {
-        let want = expected_entry_1d(plan, variant, i);
-        ensure!(
-            got == want,
-            "1D LUT entry i={i} is [{}, {}], Eq. 5/6 predict [{}, {}]",
-            got[0],
-            got[1],
-            want[0],
-            want[1]
-        );
-        for (side, (addr, (off, hits))) in [
-            (got[0], (plan.a_off, &mut hit_a)),
-            (got[1], (plan.b_off, &mut hit_b)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if addr == LUT_SKIP {
-                continue;
-            }
-            let addr = addr as usize;
-            ensure!(
-                addr >= off && addr < off + plan.block_groups * plan.stride + plan.pad.max(1),
-                "1D LUT {} address {addr} escapes its tile region at {off} (i={i})",
-                ["A", "B"][side]
-            );
-            let g = (addr - off) / plan.stride;
-            let col = (addr - off) % plan.stride;
-            if col >= plan.raw_cols {
-                continue; // dirty entry in padding.
-            }
-            let slot = g * nk + col;
-            ensure!(
-                !hits[slot],
-                "1D LUT {} cell (group {g}, col {col}) written twice",
-                ["A", "B"][side]
-            );
-            hits[slot] = true;
-        }
-    }
-    ensure!(
-        hit_a.iter().all(|&h| h) && hit_b.iter().all(|&h| h),
-        "1D LUT not total: {} A and {} B useful cells unwritten",
-        hit_a.iter().filter(|&&h| !h).count(),
-        hit_b.iter().filter(|&&h| !h).count()
-    );
     Ok(())
 }
 
@@ -476,8 +332,12 @@ mod tests {
         verify_weights(&WeightMatrices::from_kernel2d(&k)).unwrap();
         let k1 = Kernel1D::new(vec![0.2, 0.5, 0.2]);
         verify_weights(&WeightMatrices::from_kernel1d(&k1)).unwrap();
-        let exec = Exec1D::try_new(&k1, 512, VariantConfig::conv_stencil()).unwrap();
-        exec.verify().unwrap();
+        for (_, variant) in VariantConfig::breakdown() {
+            Exec1D::try_new(&k1, 512, variant)
+                .unwrap()
+                .verify()
+                .unwrap();
+        }
     }
 
     #[test]

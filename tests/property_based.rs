@@ -6,11 +6,11 @@ use convstencil_repro::convstencil::model;
 use convstencil_repro::convstencil::stencil2row::{build_2d, map_a, map_b, unmap_a, unmap_b};
 use convstencil_repro::convstencil::tessellation::host_convstencil_2d;
 use convstencil_repro::convstencil::{
-    try_run_applications, ConvStencil2D, ConvStencilError, Exec2D, Plan2D, VariantConfig,
-    WeightMatrices, D2,
+    try_run_applications, ConvStencil2D, ConvStencilError, Exec1D, Exec2D, Plan2D, ScatterLut,
+    VariantConfig, WeightMatrices, D2,
 };
 use convstencil_repro::stencil_core::{
-    fill_pseudorandom, fuse2d, reference, Boundary, Grid2D, Kernel2D,
+    fill_pseudorandom, fuse2d, reference, Boundary, Grid2D, Kernel1D, Kernel2D,
 };
 use convstencil_repro::tcu_sim::{conflict_free_pad, stride_is_conflict_free, Device};
 use proptest::prelude::*;
@@ -228,47 +228,68 @@ fn memory_saving_is_monotone_in_kernel_size() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Static verifier soundness: every plan the planner emits — any
-    /// radius, grid shape, and breakdown variant — passes verification.
+    /// Static verifier soundness: every plan the planner emits — 1D or
+    /// 2D, any radius, grid shape, and breakdown variant — passes
+    /// verification.
     #[test]
     fn planner_output_always_passes_static_verifier(
+        dims in 1usize..3,
         radius in prop::sample::select(vec![1usize, 2, 3]),
         m in 8usize..80,
         n in 16usize..160,
+        n1 in 1usize..20_000,
         vidx in 0usize..5,
         kernel_seed in 0u64..1000,
     ) {
         let nk = 2 * radius + 1;
-        let w: Vec<f64> = (0..nk * nk)
-            .map(|i| ((kernel_seed + i as u64) % 13) as f64 * 0.05 - 0.3)
-            .collect();
-        let kernel = Kernel2D::new(radius, w);
+        let w = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|i| ((kernel_seed + i as u64) % 13) as f64 * 0.05 - 0.3)
+                .collect()
+        };
         let variant = VariantConfig::breakdown()[vidx].1;
-        let exec = Exec2D::try_new(&kernel, m, n, variant).unwrap();
-        prop_assert!(exec.verify().is_ok());
+        let verdict = if dims == 1 {
+            Exec1D::try_new(&Kernel1D::new(w(nk)), n1, variant).unwrap().verify()
+        } else {
+            Exec2D::try_new(&Kernel2D::new(radius, w(nk * nk)), m, n, variant).unwrap().verify()
+        };
+        prop_assert!(verdict.is_ok());
     }
 
     /// Static verifier completeness: *any* mutation of *any* lookup-table
-    /// entry is rejected — the LUT is fully pinned by the Eq. 5/6 maps
-    /// plus the dirty-slot assignment.
+    /// entry of a 1D or 2D plan is rejected — the LUT is fully pinned by
+    /// the Eq. 5/6 maps plus the dirty-slot assignment.
     #[test]
     fn any_lut_mutation_is_always_rejected(
+        dims in 1usize..3,
+        nk1 in prop::sample::select(vec![3usize, 5, 7]),
+        n1 in 1usize..20_000,
         entry_seed in 0u64..1_000_000_000,
         delta in 1u32..2_000_000_000,
         side in 0usize..2,
         vidx in 0usize..5,
     ) {
         let variant = VariantConfig::breakdown()[vidx].1;
-        let kernel = Kernel2D::box_uniform(1);
-        let mut exec = Exec2D::try_new(&kernel, 40, 72, variant).unwrap();
-        let p = &exec.plan;
-        let tile_rows = p.block_rows + p.nk - 1;
-        let span_aligned = p.span_aligned;
-        let t = (entry_seed as usize) % tile_rows;
-        let i = (entry_seed >> 16) as usize % span_aligned;
-        let mut e = exec.lut().get(t, i);
-        e[side] = e[side].wrapping_add(delta);
-        exec.lut_mut().set(t, i, e);
-        prop_assert!(exec.verify().is_err());
+        // Entry (t, i) is drawn from the plan's tile rows (one in 1D).
+        let mutate = |lut: &mut ScatterLut, plan: &Plan2D| {
+            let t = (entry_seed as usize) % plan.tile_rows();
+            let i = (entry_seed >> 16) as usize % plan.span_aligned;
+            let mut e = lut.get(t, i);
+            e[side] = e[side].wrapping_add(delta);
+            lut.set(t, i, e);
+        };
+        let verdict = if dims == 1 {
+            let kernel = Kernel1D::new(vec![1.0 / nk1 as f64; nk1]);
+            let mut exec = Exec1D::try_new(&kernel, n1, variant).unwrap();
+            let plan = exec.plan.clone();
+            mutate(exec.lut_mut(), &plan);
+            exec.verify()
+        } else {
+            let mut exec = Exec2D::try_new(&Kernel2D::box_uniform(1), 40, 72, variant).unwrap();
+            let plan = exec.plan.clone();
+            mutate(exec.lut_mut(), &plan);
+            exec.verify()
+        };
+        prop_assert!(verdict.is_err());
     }
 }
