@@ -7,7 +7,7 @@
 //! baseline; `--full` also measures the full Table-4 reduced sizes;
 //! `--update-baseline` rewrites the baseline instead of gating.
 //!
-//! Thresholds (`GateThresholds::default()` in `convstencil_bench::perf`):
+//! Thresholds (`MIN_POINTS_RATIO` and `MAX_ALLOC_RATIO` in `convstencil_bench::perf`):
 //! a tight, deterministic allocation-count gate (1.5x) and a loose
 //! wall-clock gate (0.35x) that only catches catastrophic slowdowns on
 //! shared CI machines.
@@ -16,8 +16,8 @@ use convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D};
 use convstencil_baselines::ProblemSize;
 use convstencil_bench::alloc_counter::{self, CountingAlloc};
 use convstencil_bench::perf::{
-    gate_violations, parse_perf_json, perf_baseline_path, write_perf_json, GateThresholds,
-    PerfRecord,
+    gate_violations, parse_perf_json, perf_baseline_path, write_perf_json, PerfRecord,
+    MAX_ALLOC_RATIO, MIN_POINTS_RATIO,
 };
 use convstencil_bench::report::{banner, render_table};
 use convstencil_bench::{workload_for, Workload};
@@ -125,14 +125,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let thresholds = GateThresholds::default();
-    let violations = gate_violations(&baseline, &records, &thresholds);
+    let violations = gate_violations(&baseline, &records);
     if violations.is_empty() {
         println!(
             "[perf-gate] PASS: {} record(s) within thresholds (min throughput ratio {}, max alloc ratio {})",
             records.len(),
-            thresholds.min_points_ratio,
-            thresholds.max_alloc_ratio
+            MIN_POINTS_RATIO,
+            MAX_ALLOC_RATIO
         );
     } else {
         for v in &violations {

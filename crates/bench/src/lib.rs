@@ -28,7 +28,7 @@ pub mod workloads;
 
 pub use bench_json::{maybe_write_bench_json, write_bench_json, BenchRecord};
 pub use csv::{atomic_write, csv_mode, maybe_write_csv, write_csv};
-pub use perf::{gate_violations, parse_perf_json, GateThresholds, PerfRecord};
+pub use perf::{gate_violations, parse_perf_json, PerfRecord};
 pub use projection::{project_report, Projection};
 pub use workloads::{fig8_sizes_2d, fig8_sizes_3d, table4, workload_for, Workload};
 

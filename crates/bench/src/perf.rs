@@ -51,23 +51,10 @@ pub struct PerfRecord {
     pub alloc_bytes: u64,
 }
 
-/// Gate thresholds. `perf_gate` uses [`GateThresholds::default`].
-#[derive(Debug, Clone, Copy)]
-pub struct GateThresholds {
-    /// Fail when `points_per_sec < min_points_ratio x baseline`.
-    pub min_points_ratio: f64,
-    /// Fail when `allocs > max_alloc_ratio x baseline`.
-    pub max_alloc_ratio: f64,
-}
-
-impl Default for GateThresholds {
-    fn default() -> Self {
-        Self {
-            min_points_ratio: 0.35,
-            max_alloc_ratio: 1.5,
-        }
-    }
-}
+/// Gate: fail when `points_per_sec < MIN_POINTS_RATIO x baseline`.
+pub const MIN_POINTS_RATIO: f64 = 0.35;
+/// Gate: fail when `allocs > MAX_ALLOC_RATIO x baseline`.
+pub const MAX_ALLOC_RATIO: f64 = 1.5;
 
 impl PerfRecord {
     fn to_json(&self) -> String {
@@ -148,11 +135,7 @@ pub fn parse_perf_json(body: &str) -> Result<Vec<PerfRecord>, String> {
 /// without a baseline record fails, and so does a baseline record of a
 /// measured mode that the run did not produce — a quick run gates every
 /// quick baseline record and ignores the full ones.
-pub fn gate_violations(
-    baseline: &[PerfRecord],
-    current: &[PerfRecord],
-    t: &GateThresholds,
-) -> Vec<String> {
+pub fn gate_violations(baseline: &[PerfRecord], current: &[PerfRecord]) -> Vec<String> {
     let same = |a: &PerfRecord, b: &PerfRecord| a.workload == b.workload && a.mode == b.mode;
     let mut violations = Vec::new();
     for cur in current {
@@ -163,7 +146,7 @@ pub fn gate_violations(
             ));
             continue;
         };
-        let floor = t.min_points_ratio * base.points_per_sec;
+        let floor = MIN_POINTS_RATIO * base.points_per_sec;
         if cur.points_per_sec < floor {
             violations.push(format!(
                 "{} ({}): throughput {:.3e} pts/s below gate {:.3e} ({}x baseline {:.3e})",
@@ -171,15 +154,15 @@ pub fn gate_violations(
                 cur.mode,
                 cur.points_per_sec,
                 floor,
-                t.min_points_ratio,
+                MIN_POINTS_RATIO,
                 base.points_per_sec
             ));
         }
-        let ceil = t.max_alloc_ratio * base.allocs as f64;
+        let ceil = MAX_ALLOC_RATIO * base.allocs as f64;
         if cur.allocs as f64 > ceil {
             violations.push(format!(
                 "{} ({}): {} heap allocations exceed gate {:.0} ({}x baseline {})",
-                cur.workload, cur.mode, cur.allocs, ceil, t.max_alloc_ratio, base.allocs
+                cur.workload, cur.mode, cur.allocs, ceil, MAX_ALLOC_RATIO, base.allocs
             ));
         }
     }
@@ -253,14 +236,14 @@ mod tests {
     fn gate_passes_when_metrics_hold() {
         let base = vec![record("Box-2D9P", "quick", 1.0e8, 1000)];
         let cur = vec![record("Box-2D9P", "quick", 0.9e8, 1100)];
-        assert!(gate_violations(&base, &cur, &GateThresholds::default()).is_empty());
+        assert!(gate_violations(&base, &cur).is_empty());
     }
 
     #[test]
     fn gate_flags_throughput_collapse_and_alloc_blowup() {
         let base = vec![record("Box-2D9P", "quick", 1.0e8, 1000)];
         let cur = vec![record("Box-2D9P", "quick", 0.2e8, 2000)];
-        let v = gate_violations(&base, &cur, &GateThresholds::default());
+        let v = gate_violations(&base, &cur);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].contains("throughput"));
         assert!(v[1].contains("allocations"));
@@ -273,7 +256,7 @@ mod tests {
             record("Box-2D9P", "full", 1.0e8, 1000),
         ];
         let cur = vec![record("Box-2D9P", "quick", 1.0e8, 1000)];
-        assert!(gate_violations(&base, &cur, &GateThresholds::default()).is_empty());
+        assert!(gate_violations(&base, &cur).is_empty());
     }
 
     #[test]
@@ -292,17 +275,14 @@ mod tests {
             record("Box-2D9P", "full", 1.0e8, 1000),
             record("Heat-1D", "full", 1.0e8, 1000),
         ];
-        let v = gate_violations(&base, &cur, &GateThresholds::default());
+        let v = gate_violations(&base, &cur);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(
             v[0].starts_with("Heat-1D (full): no baseline record"),
             "{v:?}"
         );
         // An empty baseline gates nothing, so it fails every record.
-        assert_eq!(
-            gate_violations(&[], &cur, &GateThresholds::default()).len(),
-            2
-        );
+        assert_eq!(gate_violations(&[], &cur).len(), 2);
     }
 
     #[test]
@@ -312,7 +292,7 @@ mod tests {
             record("Heat-3D", "quick", 1.0e8, 1000),
         ];
         let cur = vec![record("Box-2D9P", "quick", 1.0e8, 1000)];
-        let v = gate_violations(&base, &cur, &GateThresholds::default());
+        let v = gate_violations(&base, &cur);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(
             v[0].contains("Heat-3D (quick): baseline record matches no"),

@@ -222,12 +222,9 @@ impl Plan2D {
             return Err(ConvStencilError::UnsupportedNk { nk });
         }
         if m == 0 || n == 0 {
-            let dims = if kernel_rows == 1 {
-                vec![n]
-            } else {
-                vec![m, n]
-            };
-            return Err(ConvStencilError::ZeroSizedGrid { dims });
+            return Err(ConvStencilError::ZeroSizedGrid {
+                dims: extents(kernel_rows == 1, [m, n]),
+            });
         }
         if block_rows == 0 || block_groups == 0 {
             return Err(ConvStencilError::PlanInvariant {
@@ -282,16 +279,6 @@ impl Plan2D {
         })
     }
 
-    /// Interior extents, outermost first: `[n]` for a 1D plan, `[m, n]`
-    /// otherwise.
-    fn extents(&self) -> Vec<usize> {
-        if self.kernel_rows == 1 {
-            vec![self.n]
-        } else {
-            vec![self.m, self.n]
-        }
-    }
-
     /// Input rows a full block stages: the scatter lookup table's rows.
     pub fn tile_rows(&self) -> usize {
         self.block_rows + self.kernel_rows - 1
@@ -320,10 +307,11 @@ impl Plan2D {
     /// Build the extended array from a grid (interior + available halo;
     /// zero beyond). The grid's halo must be at least `radius`.
     pub fn try_build_ext<G: PlanGrid>(&self, grid: &G) -> Result<Vec<f64>, ConvStencilError> {
-        if grid.extents() != self.extents() {
+        let one_row = self.kernel_rows == 1;
+        if G::ONE_ROW != one_row || grid.shape() != [self.m, self.n] {
             return Err(ConvStencilError::ShapeMismatch {
-                expected: self.extents(),
-                got: grid.extents(),
+                expected: extents(one_row, [self.m, self.n]),
+                got: extents(G::ONE_ROW, grid.shape()),
             });
         }
         let h = grid.halo();
@@ -417,11 +405,23 @@ impl Plan2D {
     }
 }
 
+/// Interior extents, outermost first, of a `[rows, cols]` grid: `[cols]`
+/// when it is one row (a 1D grid or plan), `[rows, cols]` otherwise.
+fn extents(one_row: bool, [rows, cols]: [usize; 2]) -> Vec<usize> {
+    if one_row {
+        vec![cols]
+    } else {
+        vec![rows, cols]
+    }
+}
+
 /// A grid a [`Plan2D`] lays out in its extended array: a 2D grid, or a
 /// 1D grid as one row without halo rows.
 pub trait PlanGrid {
-    /// Interior extents, outermost first.
-    fn extents(&self) -> Vec<usize>;
+    /// Whether the grid is a single row (a 1D grid).
+    const ONE_ROW: bool;
+    /// Interior `[rows, cols]`.
+    fn shape(&self) -> [usize; 2];
     /// Halo width.
     fn halo(&self) -> usize;
     /// Padded storage of interior row `x` (negative in the halo rows), if
@@ -432,8 +432,9 @@ pub trait PlanGrid {
 }
 
 impl PlanGrid for Grid1D {
-    fn extents(&self) -> Vec<usize> {
-        vec![self.len()]
+    const ONE_ROW: bool = true;
+    fn shape(&self) -> [usize; 2] {
+        [1, self.len()]
     }
     fn halo(&self) -> usize {
         Grid1D::halo(self)
@@ -447,8 +448,9 @@ impl PlanGrid for Grid1D {
 }
 
 impl PlanGrid for Grid2D {
-    fn extents(&self) -> Vec<usize> {
-        vec![self.rows(), self.cols()]
+    const ONE_ROW: bool = false;
+    fn shape(&self) -> [usize; 2] {
+        [self.rows(), self.cols()]
     }
     fn halo(&self) -> usize {
         Grid2D::halo(self)
