@@ -197,6 +197,56 @@ fn periodic_and_verified_lines(lines: &mut Vec<String>) {
     lines.push(report_line("box3d27p/verified", &out.interior(), &rep));
 }
 
+/// Every Fig. 6 variant of `shape` with tracing, the sanitizer and
+/// injected shared-memory corruption on. The runs are corrupted on
+/// purpose, so there is no clean-sanitizer or reference check: the line
+/// records the faults, the findings and the corrupted output as they are.
+fn smem_fault_case<D: Dim>(lines: &mut Vec<String>, shape: Shape, grid: &D::Grid, steps: usize) {
+    let kernel = D::shape_kernel(shape).unwrap();
+    let shape_tag = shape.name().to_lowercase().replace('-', "");
+    for (name, variant) in VariantConfig::breakdown() {
+        let runner = ConvStencil::<D>::try_new(kernel.clone())
+            .unwrap()
+            .with_variant(variant)
+            .with_tracing(true)
+            .with_sanitizer(true)
+            .with_fault_plan(FaultPlan::quiet(0x9001).with_smem_corrupt_rate(0.05));
+        let (out, rep) = runner.try_run(grid, steps).unwrap();
+        let tag = name.split(':').next().unwrap();
+        let case = format!("{shape_tag}/smem-fault/{tag}");
+        lines.push(report_line(&case, &D::interior(&out), &rep));
+    }
+}
+
+/// Shared-memory corruption under the sanitizer and tracing, in every
+/// dimension and variant, plus a traced verified run that detects the
+/// corruption and retries through it.
+fn smem_fault_lines(lines: &mut Vec<String>) {
+    let mut g = Grid1D::new(3000, 1);
+    g.fill_random(17);
+    smem_fault_case::<D1>(lines, Shape::Heat1D, &g, 3);
+    let mut g = Grid2D::new(40, 72, 1);
+    g.fill_random(23);
+    smem_fault_case::<D2>(lines, Shape::Box2D9P, &g, 4);
+    let mut g = Grid3D::new(6, 10, 40, 1);
+    g.fill_random(31);
+    smem_fault_case::<D3>(lines, Shape::Box3D27P, &g, 3);
+
+    let mut g = Grid2D::new(32, 64, 1);
+    g.fill_random(41);
+    let (out, rep) = ConvStencil2D::try_new(Shape::Heat2D.kernel2d().unwrap())
+        .unwrap()
+        .with_tracing(true)
+        .with_fault_plan(FaultPlan::quiet(0x9002).with_smem_corrupt_rate(0.02))
+        .try_run_verified(&g, 3)
+        .unwrap();
+    lines.push(report_line(
+        "heat2d/smem-fault/verified",
+        &out.interior(),
+        &rep,
+    ));
+}
+
 fn job_line(case: &str, outcome: &JobOutcome) -> String {
     let r = &outcome.report;
     let events = format!("{:?}", r.events);
@@ -306,6 +356,8 @@ fn every_runner_path_matches_the_recorded_digests() {
     // in 1D and 2D (Box-2D25P's 48-output bands are not a multiple of the
     // 32-lane warp) and Heat-3D's hybrid scalar/MMA planes (§4.2).
     variant_lines(&mut actual, [Shape::OneD5P, Shape::Box2D25P, Shape::Heat3D]);
+    // Shared-memory corruption with the sanitizer and tracing on.
+    smem_fault_lines(&mut actual);
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/digests.txt");
     let recorded = std::fs::read_to_string(&path).unwrap_or_default();
