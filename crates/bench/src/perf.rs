@@ -17,13 +17,14 @@
 //! workload and mode, and every baseline record of a measured mode must
 //! be measured.
 //!
-//! The codec is hand-rolled like [`crate::bench_json`], whose number
-//! formatting it shares (the workspace's `serde` is an
-//! API-compatibility stub).
+//! Records are written with [`crate::bench_json`]'s number formatting and
+//! read back with the trace codec's reader, [`tcu_sim::trace::json`] (the
+//! workspace's `serde` is an API-compatibility stub).
 
 use crate::bench_json::fmt_f64;
 use crate::csv::{atomic_write, RESULTS_DIR};
 use std::path::{Path, PathBuf};
+use tcu_sim::trace::json::{self, Value};
 
 /// Pre-optimization full-workload wall-clock (ms) measured on the
 /// machine that recorded the first baseline, kept in the artifact so the
@@ -68,6 +69,34 @@ impl PerfRecord {
             self.alloc_bytes
         )
     }
+
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let obj = value.as_object().ok_or("not an object")?;
+        let text = |name: &str| {
+            json::get(obj, name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("'{name}' must be a string"))
+        };
+        let number = |name: &str| {
+            json::get(obj, name)?
+                .as_f64()
+                .ok_or_else(|| format!("'{name}' must be a number"))
+        };
+        let count = |name: &str| {
+            json::get(obj, name)?
+                .as_u64()
+                .ok_or_else(|| format!("'{name}' must be an unsigned integer"))
+        };
+        Ok(PerfRecord {
+            workload: text("workload")?,
+            mode: text("mode")?,
+            wall_ms: number("wall_ms")?,
+            points_per_sec: number("points_per_sec")?,
+            allocs: count("allocs")?,
+            alloc_bytes: count("alloc_bytes")?,
+        })
+    }
 }
 
 /// Render the full `BENCH_perf.json` body.
@@ -87,47 +116,21 @@ pub fn render_perf_json(records: &[PerfRecord]) -> String {
     )
 }
 
-fn str_field(obj: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\":\"");
-    let i = obj.find(&pat)? + pat.len();
-    let j = obj[i..].find('"')? + i;
-    Some(obj[i..j].to_string())
-}
-
-fn num_field(obj: &str, name: &str) -> Option<f64> {
-    let pat = format!("\"{name}\":");
-    let i = obj.find(&pat)? + pat.len();
-    let rest = &obj[i..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the records out of a `BENCH_perf.json` body. The scanner keys
-/// on `{"workload":` so the reference map is skipped. Every record must
-/// parse completely: a damaged baseline is an error, never a silently
-/// smaller gate.
+/// Parse the `records` array of a `BENCH_perf.json` body. Every record
+/// must parse completely: a damaged baseline is an error, never a
+/// silently smaller gate.
 pub fn parse_perf_json(body: &str) -> Result<Vec<PerfRecord>, String> {
-    let mut out = Vec::new();
-    for (i, chunk) in body.split("{\"workload\":").skip(1).enumerate() {
-        let obj = match chunk.find('}') {
-            Some(end) => format!("{{\"workload\":{}", &chunk[..=end]),
-            None => return Err(format!("record {i} is not a closed object")),
-        };
-        let parsed = (|| {
-            Some(PerfRecord {
-                workload: str_field(&obj, "workload")?,
-                mode: str_field(&obj, "mode")?,
-                wall_ms: num_field(&obj, "wall_ms")?,
-                points_per_sec: num_field(&obj, "points_per_sec")?,
-                allocs: num_field(&obj, "allocs")? as u64,
-                alloc_bytes: num_field(&obj, "alloc_bytes")? as u64,
-            })
-        })();
-        out.push(parsed.ok_or_else(|| format!("record {i} is malformed: {obj}"))?);
-    }
-    Ok(out)
+    let doc = json::parse(body)?;
+    let records = doc
+        .as_object()
+        .and_then(|obj| json::get(obj, "records").ok())
+        .and_then(Value::as_array)
+        .ok_or("no \"records\" array")?;
+    records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| PerfRecord::from_json(r).map_err(|e| format!("record {i} is malformed: {e}")))
+        .collect()
 }
 
 /// Compare `current` against `baseline`; returns one human-readable line
@@ -216,6 +219,27 @@ mod tests {
         assert!(body.contains("\"pre_optimization_wall_ms\""));
         assert!(body.contains("\"Box-2D9P\":510.42"));
         assert_eq!(parse_perf_json(&body).unwrap(), records);
+    }
+
+    #[test]
+    fn allocation_counts_parse_as_exact_integers() {
+        // 2^53 + 1 has no f64 representation.
+        let records = vec![PerfRecord {
+            allocs: (1 << 53) + 1,
+            alloc_bytes: u64::MAX,
+            ..record("Heat-1D", "quick", 1.0e8, 0)
+        }];
+        assert_eq!(
+            parse_perf_json(&render_perf_json(&records)).unwrap(),
+            records
+        );
+        let fractional = render_perf_json(&[record("Heat-1D", "quick", 1.0e8, 7)])
+            .replace("\"allocs\":7", "\"allocs\":7.5");
+        let err = parse_perf_json(&fractional).unwrap_err();
+        assert!(
+            err.contains("'allocs' must be an unsigned integer"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -210,7 +210,6 @@ pub struct ConvStencil<D: Dim> {
     fault: Option<FaultPlan>,
     tracing: bool,
     sanitize: bool,
-    pooling: bool,
 }
 
 /// 1D ConvStencil runner.
@@ -254,7 +253,6 @@ impl<D: Dim> ConvStencil<D> {
             fault: None,
             tracing: false,
             sanitize: false,
-            pooling: true,
         })
     }
 
@@ -304,16 +302,6 @@ impl<D: Dim> ConvStencil<D> {
         self
     }
 
-    /// Toggle the device's per-launch scratch pooling (on by default).
-    /// The unpooled path allocates fresh per-block state every launch and
-    /// retires writes element-by-element; it exists as the reference
-    /// implementation for equivalence testing and produces bit-identical
-    /// outputs, counters, traces, and sanitizer reports.
-    pub fn with_scratch_pooling(mut self, on: bool) -> Self {
-        self.pooling = on;
-        self
-    }
-
     /// The automatic (or requested) fusion degree; always 1 in 3D.
     pub fn fusion(&self) -> usize {
         self.fusion
@@ -340,7 +328,7 @@ impl<D: Dim> ConvStencil<D> {
     }
 
     /// Build a device configured exactly like this runner's own implicit
-    /// device (tracing, sanitizer, scratch pooling), but with an explicit
+    /// device (device config, tracing, sanitizer), but with an explicit
     /// fault-plan override. The multi-device runtime uses this to give
     /// every pool slot an independent [`FaultPlan`] and health state.
     pub fn pool_device(&self, fault: Option<FaultPlan>) -> Device {
@@ -480,7 +468,6 @@ impl<D: Dim> ConvStencil<D> {
         dev.set_fault_plan(self.fault);
         dev.set_tracing(self.tracing);
         dev.set_sanitizer(self.sanitize);
-        dev.set_scratch_pooling(self.pooling);
         dev
     }
 

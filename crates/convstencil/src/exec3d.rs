@@ -36,6 +36,10 @@ enum PlaneKind {
     Mma(WeightMatrices),
 }
 
+/// Planes with at most this many non-zero taps run on CUDA cores (§4.2's
+/// small planes).
+const SCALAR_PLANE_THRESHOLD: usize = 2;
+
 /// Precompiled 3D executor.
 #[derive(Debug, Clone)]
 pub struct Exec3D {
@@ -59,8 +63,6 @@ pub struct Exec3D {
     shared_total: usize,
     /// Input column -> (in_a, group, offset) for the scalar path.
     colmap: Vec<block::ColEntry>,
-    /// Maximum non-zero taps treated as a "small plane".
-    pub scalar_plane_threshold: usize,
 }
 
 /// Global scratch for the explicit (variant I) 3D pipeline: the
@@ -94,14 +96,13 @@ impl Exec3D {
         let plane_plan = Plan2D::try_new_3d_plane(m, n, nk, variant)?;
         block::check_block_groups(plane_plan.block_groups)?;
         let lut = plane_plan.build_scatter_lut(variant);
-        let scalar_plane_threshold = 2;
         let mut planes = Vec::with_capacity(nk);
         for dz in 0..nk {
             let pk = kernel.plane(dz as isize - radius as isize);
             let pts = pk.points();
             if pts == 0 {
                 planes.push(PlaneKind::Empty);
-            } else if pts <= scalar_plane_threshold || !variant.use_tcu {
+            } else if pts <= SCALAR_PLANE_THRESHOLD || !variant.use_tcu {
                 let mut taps = Vec::with_capacity(pts);
                 for kx in 0..nk {
                     for ky in 0..nk {
@@ -164,7 +165,6 @@ impl Exec3D {
             weight_off,
             shared_total,
             colmap,
-            scalar_plane_threshold,
         })
     }
 
@@ -372,12 +372,6 @@ impl Exec3D {
                 block::write_back(ctx, out, xr, yband, band_vals);
             }
         }
-    }
-
-    /// The colmap entry for the scalar path stores the Eq. 5/6 offset for
-    /// input row 0; exposed for tests.
-    pub fn colmap_entry(&self, c: usize) -> (bool, usize, usize) {
-        self.colmap[c]
     }
 }
 

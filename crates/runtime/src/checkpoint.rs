@@ -85,7 +85,9 @@ pub struct Checkpoint {
     pub boundary: String,
     /// The four variant switches, in declaration order.
     pub variant: [bool; 4],
-    /// Runner observability flags: tracing, sanitizer, scratch pooling.
+    /// Runner observability flags: tracing, sanitizer, and the former
+    /// scratch-pooling switch. Every launch now pools its scratch, so the
+    /// third bit is written as 1 and ignored on read.
     pub flags: [bool; 3],
     pub steps_total: u64,
     pub steps_done: u64,

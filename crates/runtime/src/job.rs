@@ -221,14 +221,14 @@ fn restore<D: JobDim>(
             ),
         ));
     }
-    let [tracing, sanitize, pooling] = ck.flags;
+    // The third flag is parsed but has no runner setting (see `Checkpoint::flags`).
+    let [tracing, sanitize, _] = ck.flags;
     let runner =
         ConvStencil::<D>::try_with_fusion(D::new_kernel(ck.radius, ck.weights.clone()), ck.fusion)?
             .with_variant(variant)
             .with_boundary(boundary)
             .with_tracing(tracing)
-            .with_sanitizer(sanitize)
-            .with_scratch_pooling(pooling);
+            .with_sanitizer(sanitize);
     let mut grid = D::new_grid(&ck.grid_dims, ck.grid_halo);
     let padded = D::padded_mut(&mut grid);
     if padded.len() != ck.grid_data.len() {
@@ -790,7 +790,7 @@ impl Runtime {
                 variant.padding,
                 variant.dirty_bits_lut,
             ],
-            flags: [slot0.tracing(), slot0.sanitizing(), slot0.scratch_pooling()],
+            flags: [slot0.tracing(), slot0.sanitizing(), true],
             steps_total,
             steps_done,
             checkpoint_every: self.config.checkpoint_every,

@@ -44,8 +44,7 @@ struct WriteRun {
 /// A block's buffered global writes: run metadata over one flat value
 /// arena (one growable allocation per block instead of one `Vec` per
 /// store), plus the single-element scatter list. Retirement replays
-/// `runs` in push order, then `scatter` — the same order as the legacy
-/// per-`Vec` representation, so results are unchanged.
+/// `runs` in push order, then `scatter`.
 #[derive(Debug, Default)]
 struct WriteLog {
     runs: Vec<WriteRun>,
@@ -74,8 +73,8 @@ impl WriteLog {
 
 /// Recycled per-block working memory: shared-memory backing store,
 /// sanitizer shadow vectors, and the tracing phase log. Returned to the
-/// pool as soon as the block body finishes, so pooling holds no more live
-/// shared memory at once than the unpooled path does.
+/// pool as soon as the block body finishes, so no more of it is live at
+/// once than there are blocks running.
 #[derive(Debug, Default)]
 struct BlockScratch {
     shared: Vec<f64>,
@@ -161,12 +160,8 @@ pub struct Device {
     /// Accumulated sanitizer findings while sanitizing.
     sanitizer: SanitizerReport,
     /// Launch scratch pool (shared memory, shadow vectors, write logs)
-    /// reused across blocks and launches while `pooling` is on.
+    /// reused across blocks and launches.
     pool: ScratchPool,
-    /// Whether launches draw per-block state from the scratch pool and
-    /// retire write runs with bulk copies (on by default). Off = the
-    /// legacy fresh-allocation, element-by-element reference path.
-    pooling: bool,
     /// Capacity hint (f64 elements) for freshly pooled write arenas.
     write_hint: usize,
 }
@@ -187,7 +182,6 @@ impl Device {
             sanitize: false,
             sanitizer: SanitizerReport::default(),
             pool: ScratchPool::default(),
-            pooling: true,
             write_hint: 0,
         }
     }
@@ -235,23 +229,7 @@ impl Device {
         self.launch_stats = LaunchStats::default();
     }
 
-    // ---- Scratch pooling ----------------------------------------------
-
-    /// Enable or disable the launch scratch pool (on by default). While
-    /// on, per-block shared memory, sanitizer shadows, phase logs, and
-    /// write logs are recycled across blocks and launches, and buffered
-    /// write runs retire via bulk slice copies. While off, every block
-    /// allocates fresh state and writes retire element-by-element — the
-    /// legacy reference path the equivalence tests compare against.
-    /// Outputs, counters, traces, and sanitizer reports are bit-identical
-    /// either way.
-    pub fn set_scratch_pooling(&mut self, on: bool) {
-        self.pooling = on;
-    }
-
-    pub fn scratch_pooling(&self) -> bool {
-        self.pooling
-    }
+    // ---- Launch scratch -----------------------------------------------
 
     /// Pre-size freshly pooled write arenas for about `elems` buffered
     /// f64 per block. Callers that know their per-block output volume
@@ -425,62 +403,48 @@ impl Device {
             // Device-level modes are positional in launch attempts (device
             // time), independent of the fault epoch: a retry cannot dodge a
             // sticky death and rides out an ECC burst by advancing past it.
-            if plan.die_at_launch.is_some_and(|d| attempt >= d) {
+            let aborted = if plan.die_at_launch.is_some_and(|d| attempt >= d) {
                 self.dead = true;
-                self.counters.device_lost_events += 1;
-                if let Some(t0) = wall_start {
-                    self.trace.push(Span {
-                        phase: Phase::LaunchFault,
-                        launch: attempt,
-                        counters: Counters {
-                            device_lost_events: 1,
-                            ..Counters::default()
-                        },
-                        modeled_sec: 0.0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                }
-                return Err(DeviceError::DeviceLost {
-                    launch_attempt: attempt,
-                });
-            }
-            if plan.ecc_burst.is_some_and(|b| b.contains(attempt)) {
-                self.counters.launch_faults_injected += 1;
-                if let Some(t0) = wall_start {
-                    self.trace.push(Span {
-                        phase: Phase::LaunchFault,
-                        launch: attempt,
-                        counters: Counters {
-                            launch_faults_injected: 1,
-                            ..Counters::default()
-                        },
-                        modeled_sec: 0.0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                }
-                return Err(DeviceError::InjectedLaunchFailure {
-                    launch_attempt: attempt,
-                });
-            }
-            if fault::launch_fails(&plan, self.fault_epoch, attempt) {
-                self.counters.launch_faults_injected += 1;
+                let lost = Counters {
+                    device_lost_events: 1,
+                    ..Counters::default()
+                };
+                Some((
+                    lost,
+                    DeviceError::DeviceLost {
+                        launch_attempt: attempt,
+                    },
+                ))
+            } else if plan.ecc_burst.is_some_and(|b| b.contains(attempt))
+                || fault::launch_fails(&plan, self.fault_epoch, attempt)
+            {
+                let failed = Counters {
+                    launch_faults_injected: 1,
+                    ..Counters::default()
+                };
+                Some((
+                    failed,
+                    DeviceError::InjectedLaunchFailure {
+                        launch_attempt: attempt,
+                    },
+                ))
+            } else {
+                None
+            };
+            if let Some((counters, err)) = aborted {
+                self.counters += counters;
                 // With tracing on, the aborted launch still gets a span so
                 // the trace's counter sum matches the device ledger.
                 if let Some(t0) = wall_start {
                     self.trace.push(Span {
                         phase: Phase::LaunchFault,
                         launch: attempt,
-                        counters: Counters {
-                            launch_faults_injected: 1,
-                            ..Counters::default()
-                        },
+                        counters,
                         modeled_sec: 0.0,
                         wall_ns: t0.elapsed().as_nanos() as u64,
                     });
                 }
-                return Err(DeviceError::InjectedLaunchFailure {
-                    launch_attempt: attempt,
-                });
+                return Err(err);
             }
             if let Some(hang) = plan.hang.filter(|h| h.at_launch == attempt) {
                 // The hang stalls the device but the launch still completes;
@@ -508,22 +472,12 @@ impl Device {
         let fault_epoch = self.fault_epoch;
         let tracing = self.tracing;
         let sanitize = self.sanitize;
-        let pooling = self.pooling;
         let write_hint = self.write_hint;
         let pool = &self.pool;
         let mut outcomes: Vec<BlockOutcome> = (0..num_blocks)
             .into_par_iter()
             .map(|block_id| {
-                let mut scratch = if pooling {
-                    pool.take_block()
-                } else {
-                    BlockScratch::default()
-                };
-                let writes = if pooling {
-                    pool.take_log(write_hint)
-                } else {
-                    WriteLog::default()
-                };
+                let mut scratch = pool.take_block();
                 let mut ctx = BlockCtx {
                     config: cfg,
                     global,
@@ -533,7 +487,7 @@ impl Device {
                         cfg.shared_banks as usize,
                     ),
                     counters: Counters::default(),
-                    writes,
+                    writes: pool.take_log(write_hint),
                     fault: fault_plan
                         .map(|p| FaultState::new(p, fault_epoch, attempt, block_id as u64)),
                     phase_marks: tracing.then(|| {
@@ -575,23 +529,17 @@ impl Device {
                         prev_snap = snap;
                     }
                     per[prev_phase.index()] += counters.saturating_sub(&prev_snap);
-                    if pooling {
-                        scratch.marks = marks;
-                    }
+                    scratch.marks = marks;
                     per
                 });
                 let sanitizer = shadow.map(|shadow| {
                     let (report, written, exempt) = shadow.into_parts();
-                    if pooling {
-                        scratch.written = written;
-                        scratch.exempt = exempt;
-                    }
+                    scratch.written = written;
+                    scratch.exempt = exempt;
                     report
                 });
-                if pooling {
-                    scratch.shared = shared.into_data();
-                    pool.put_block(scratch);
-                }
+                scratch.shared = shared.into_data();
+                pool.put_block(scratch);
                 BlockOutcome {
                     counters,
                     writes,
@@ -603,32 +551,15 @@ impl Device {
 
         for outcome in &mut outcomes {
             self.counters += outcome.counters;
-            let log = &outcome.writes;
-            if self.pooling {
-                // Bulk retirement: each run is a strictly consecutive
-                // address range, so one slice copy is observably identical
-                // to the per-element replay below.
-                for run in &log.runs {
-                    self.global.apply_run(
-                        run.buf,
-                        run.start,
-                        &log.data[run.off..run.off + run.len],
-                    );
-                }
-            } else {
-                // Reference retirement: element-by-element, exactly the
-                // legacy path the equivalence tests pin against.
-                for run in &log.runs {
-                    self.global.apply_writes(
-                        &log.data[run.off..run.off + run.len]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &v)| (run.buf, run.start + i, v))
-                            .collect::<Vec<_>>(),
-                    );
-                }
+            // Each run is a strictly consecutive address range: one slice
+            // copy per run, then the lone scatters.
+            let log = std::mem::take(&mut outcome.writes);
+            for run in &log.runs {
+                self.global
+                    .apply_run(run.buf, run.start, &log.data[run.off..run.off + run.len]);
             }
             self.global.apply_writes(&log.scatter);
+            self.pool.put_log(log);
             if let Some(report) = outcome.sanitizer.take() {
                 self.sanitizer.merge(report);
             }
@@ -667,11 +598,6 @@ impl Device {
                     modeled_sec: modeled[i],
                     wall_ns: share,
                 });
-            }
-        }
-        if self.pooling {
-            for outcome in outcomes {
-                self.pool.put_log(outcome.writes);
             }
         }
         Ok(())
@@ -1373,71 +1299,100 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_unpooled_launches_match_bitwise() {
-        // One kernel exercising span writes, gappy warp writes (runs +
-        // scatters), shared memory, phases, and faults — run on the pooled
-        // fast path and the legacy reference path. Everything observable
-        // must be bit-identical.
-        let run = |pooling: bool| {
-            let mut dev = Device::a100();
-            dev.set_scratch_pooling(pooling);
-            dev.set_tracing(true);
-            dev.set_sanitizer(true);
-            dev.set_fault_plan(Some(FaultPlan::quiet(3).with_smem_corrupt_rate(0.2)));
-            let src = dev.alloc_from(&(0..256).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
-            let dst = dev.alloc(512);
-            for _ in 0..3 {
-                dev.launch(8, 128, |block, ctx| {
-                    ctx.phase(Phase::SmemScatter);
-                    let vals = ctx.gmem_read_span(src, block * 32, 32);
-                    let addrs: Vec<usize> = (0..32).collect();
-                    ctx.smem_store(&addrs, &vals);
-                    ctx.phase(Phase::Epilogue);
-                    let mut out = [0.0; 32];
-                    ctx.smem_load(&addrs, &mut out);
-                    ctx.gmem_write_span(dst, block * 64, &out);
-                    // Gappy warp write: runs of 2 + lone scatters.
-                    let waddrs = [
-                        block * 64 + 40,
-                        block * 64 + 41,
-                        INACTIVE,
-                        block * 64 + 50,
-                        INACTIVE,
-                        block * 64 + 52,
-                    ];
-                    let wvals = [1.0, 2.0, 0.0, 3.0, 0.0, 4.0];
-                    ctx.gmem_write_warp(dst, &waddrs, &wvals);
-                });
-            }
-            let out: Vec<u64> = dev.download(dst).iter().map(|v| v.to_bits()).collect();
-            let mut trace = dev.take_trace();
-            for span in &mut trace.spans {
-                // Wall time is host clock noise, not part of the
-                // bit-exactness contract (counters/modeled time are).
+    fn recycled_scratch_repeats_the_first_launch_exactly() {
+        // One traced, sanitized kernel launched three times on one device.
+        // Launches 2 and 3 run every block on scratch recycled from earlier
+        // blocks, so stale shared memory, shadow bits or phase marks would
+        // show up as different counters, spans, findings or outputs.
+        const BLOCKS: usize = 8;
+        let mut dev = Device::a100();
+        dev.set_tracing(true);
+        dev.set_sanitizer(true);
+        let src = dev.alloc_from(&(0..256).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
+        let dst = dev.alloc(BLOCKS * 64);
+        let mut launches = Vec::new();
+        for _ in 0..3 {
+            let before = dev.counters;
+            dev.launch(BLOCKS, 128, |block, ctx| {
+                ctx.phase(Phase::SmemScatter);
+                let vals = ctx.gmem_read_span(src, block * 32, 32);
+                let addrs: Vec<usize> = (0..32).collect();
+                ctx.smem_store(&addrs, &vals);
+                ctx.phase(Phase::Epilogue);
+                let mut out = [0.0; 32];
+                ctx.smem_load(&addrs, &mut out);
+                // Word 100 is read before it is written: one initcheck
+                // finding, and the read sees zeroed shared memory. The
+                // store leaves a stale value behind in the scratch.
+                let mut unwritten = [f64::NAN];
+                ctx.smem_load(&[100], &mut unwritten);
+                ctx.smem_store(&[100], &[block as f64 + 7.0]);
+                out[31] += unwritten[0];
+                ctx.gmem_write_span(dst, block * 64, &out);
+                // Gappy warp write: a run of 2 plus lone scatters.
+                let base = block * 64;
+                let waddrs = [
+                    base + 40,
+                    base + 41,
+                    INACTIVE,
+                    base + 50,
+                    INACTIVE,
+                    base + 52,
+                ];
+                ctx.gmem_write_warp(dst, &waddrs, &[1.0, 2.0, 0.0, 3.0, 0.0, 4.0]);
+            });
+            let delta = dev.counters.saturating_sub(&before);
+            let mut spans = dev.take_trace().spans;
+            for span in &mut spans {
+                // Host clock and launch index differ by design.
                 span.wall_ns = 0;
+                span.launch = 0;
             }
-            (out, dev.counters, trace, dev.take_sanitizer_report())
-        };
-        let pooled = run(true);
-        let reference = run(false);
-        assert_eq!(pooled.0, reference.0, "outputs differ");
-        assert_eq!(pooled.1, reference.1, "counters differ");
-        assert_eq!(pooled.2, reference.2, "traces differ");
-        assert_eq!(pooled.3, reference.3, "sanitizer reports differ");
+            let mut report = dev.take_sanitizer_report();
+            for v in &mut report.violations {
+                v.launch = 0;
+            }
+            launches.push((delta, spans, report));
+        }
+
+        let out = dev.download(dst);
+        for block in 0..BLOCKS {
+            let want: Vec<f64> = (0..64)
+                .map(|i| match i {
+                    0..32 => (block * 32 + i) as f64 * 0.5,
+                    40 => 1.0,
+                    41 => 2.0,
+                    50 => 3.0,
+                    52 => 4.0,
+                    _ => 0.0,
+                })
+                .collect();
+            assert_eq!(out[block * 64..(block + 1) * 64], want[..], "block {block}");
+        }
+        let (delta, spans, report) = &launches[0];
+        assert_eq!(spans.iter().map(|s| s.counters).sum::<Counters>(), *delta);
+        assert_eq!(
+            spans.iter().map(|s| s.phase).collect::<Vec<_>>(),
+            [Phase::SmemScatter, Phase::Epilogue]
+        );
+        assert_eq!(report.init_total, BLOCKS as u64);
+        assert_eq!(report.mem_total + report.race_total, 0);
+        for (i, later) in launches.iter().enumerate().skip(1) {
+            assert_eq!(later.0, *delta, "launch {} counters", i + 1);
+            assert_eq!(later.1, *spans, "launch {} spans", i + 1);
+            assert_eq!(later.2, *report, "launch {} sanitizer", i + 1);
+        }
     }
 
     #[test]
     fn overlapping_writes_retire_in_block_order_when_pooled() {
-        for pooling in [true, false] {
-            let mut dev = Device::a100();
-            dev.set_scratch_pooling(pooling);
-            let dst = dev.alloc(8);
-            dev.launch(4, 16, |block, ctx| {
-                ctx.gmem_write_span(dst, 0, &[block as f64; 4]);
-            });
-            // Later blocks retire later: block 3 wins.
-            assert_eq!(dev.download(dst)[..4], [3.0; 4]);
-        }
+        let mut dev = Device::a100();
+        let dst = dev.alloc(8);
+        dev.launch(4, 16, |block, ctx| {
+            ctx.gmem_write_span(dst, 0, &[block as f64; 4]);
+        });
+        // Later blocks retire later: block 3 wins.
+        assert_eq!(dev.download(dst)[..4], [3.0; 4]);
     }
 
     #[test]
@@ -1479,46 +1434,43 @@ mod tests {
     #[test]
     fn many_block_launch_retires_and_folds_in_block_order() {
         use crate::sanitize::MAX_RECORDED_VIOLATIONS;
-        for pooling in [true, false] {
-            let mut dev = Device::a100();
-            dev.set_scratch_pooling(pooling);
-            dev.set_sanitizer(true);
-            let disjoint = dev.alloc(MANY_BLOCKS);
-            let pairs = dev.alloc(MANY_BLOCKS.div_ceil(2));
-            let all = dev.alloc(4);
-            dev.launch(MANY_BLOCKS, 16, |block, ctx| {
-                let id = block as f64;
-                ctx.gmem_write_span(disjoint, block, &[id]);
-                ctx.gmem_write_span(pairs, block / 2, &[id]);
-                ctx.gmem_write_span(all, 0, &[id; 4]);
-                ctx.count_fma(block as u64);
-                if block % 3 == 0 {
-                    // A load of a never-written word: one initcheck each.
-                    let mut out = [0.0];
-                    ctx.smem_load(&[block % 16], &mut out);
-                }
-            });
-            let want_disjoint: Vec<f64> = (0..MANY_BLOCKS).map(|b| b as f64).collect();
-            assert_eq!(dev.download(disjoint), &want_disjoint[..]);
-            // The later block of each overlapping pair retires last.
-            let want_pairs: Vec<f64> = (0..MANY_BLOCKS.div_ceil(2))
-                .map(|i| (2 * i + 1).min(MANY_BLOCKS - 1) as f64)
-                .collect();
-            assert_eq!(dev.download(pairs), &want_pairs[..]);
-            assert_eq!(dev.download(all), &[(MANY_BLOCKS - 1) as f64; 4]);
+        let mut dev = Device::a100();
+        dev.set_sanitizer(true);
+        let disjoint = dev.alloc(MANY_BLOCKS);
+        let pairs = dev.alloc(MANY_BLOCKS.div_ceil(2));
+        let all = dev.alloc(4);
+        dev.launch(MANY_BLOCKS, 16, |block, ctx| {
+            let id = block as f64;
+            ctx.gmem_write_span(disjoint, block, &[id]);
+            ctx.gmem_write_span(pairs, block / 2, &[id]);
+            ctx.gmem_write_span(all, 0, &[id; 4]);
+            ctx.count_fma(block as u64);
+            if block % 3 == 0 {
+                // A load of a never-written word: one initcheck each.
+                let mut out = [0.0];
+                ctx.smem_load(&[block % 16], &mut out);
+            }
+        });
+        let want_disjoint: Vec<f64> = (0..MANY_BLOCKS).map(|b| b as f64).collect();
+        assert_eq!(dev.download(disjoint), &want_disjoint[..]);
+        // The later block of each overlapping pair retires last.
+        let want_pairs: Vec<f64> = (0..MANY_BLOCKS.div_ceil(2))
+            .map(|i| (2 * i + 1).min(MANY_BLOCKS - 1) as f64)
+            .collect();
+        assert_eq!(dev.download(pairs), &want_pairs[..]);
+        assert_eq!(dev.download(all), &[(MANY_BLOCKS - 1) as f64; 4]);
 
-            assert_eq!(dev.counters.cuda_fma_ops, 500_500);
-            assert_eq!(dev.launch_stats.total_blocks, MANY_BLOCKS as u64);
-            let report = dev.take_sanitizer_report();
-            assert_eq!(report.init_total, 334);
-            // Recorded findings are the first blocks' findings, in order.
-            let blocks: Vec<usize> = report.violations.iter().map(|v| v.block).collect();
-            let want_blocks: Vec<usize> = (0..MANY_BLOCKS)
-                .step_by(3)
-                .take(MAX_RECORDED_VIOLATIONS)
-                .collect();
-            assert_eq!(blocks, want_blocks);
-        }
+        assert_eq!(dev.counters.cuda_fma_ops, 500_500);
+        assert_eq!(dev.launch_stats.total_blocks, MANY_BLOCKS as u64);
+        let report = dev.take_sanitizer_report();
+        assert_eq!(report.init_total, 334);
+        // Recorded findings are the first blocks' findings, in order.
+        let blocks: Vec<usize> = report.violations.iter().map(|v| v.block).collect();
+        let want_blocks: Vec<usize> = (0..MANY_BLOCKS)
+            .step_by(3)
+            .take(MAX_RECORDED_VIOLATIONS)
+            .collect();
+        assert_eq!(blocks, want_blocks);
     }
 
     #[test]

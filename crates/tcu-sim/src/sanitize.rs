@@ -233,7 +233,7 @@ impl ShadowState {
     }
 
     /// [`ShadowState::new`] over recycled shadow vectors (the launch
-    /// scratch-pool path). The vectors are cleared and re-sized to all
+    /// scratch pool). The vectors are cleared and re-sized to all
     /// `false`, so a recycled shadow behaves bit-identically to a fresh
     /// one — only the two allocations are saved.
     pub fn recycle(

@@ -42,7 +42,7 @@ impl SharedMemory {
     }
 
     /// [`SharedMemory::new`] over a recycled backing vector (the launch
-    /// scratch-pool path). The vector is cleared, resized, and re-zeroed,
+    /// scratch pool). The vector is cleared, resized, and re-zeroed,
     /// so a recycled shared memory is bit-identical to a fresh one — only
     /// the allocation is saved.
     pub fn recycle(mut data: Vec<f64>, len: usize, banks: usize) -> Self {
@@ -52,7 +52,8 @@ impl SharedMemory {
         Self { data, banks }
     }
 
-    /// Surrender the backing vector (capacity preserved) for pooling.
+    /// Surrender the backing vector (capacity preserved) so the launch
+    /// scratch pool can recycle it.
     pub fn into_data(self) -> Vec<f64> {
         self.data
     }

@@ -250,19 +250,19 @@ impl Span {
     }
 }
 
-/// Minimal JSON reader for the trace codec (objects, strings, numbers —
-/// exactly the subset [`Span::to_json`] emits, plus arrays for
-/// forward-compatibility). Numbers are kept as raw text so u64 counters
-/// round-trip without passing through f64.
-mod json {
+/// Minimal JSON reader: the trace codec's, also used by the benchmark
+/// crate for its committed artifacts. Numbers are kept as raw text so u64
+/// counters round-trip without passing through f64.
+pub mod json {
+    /// One parsed JSON value.
     pub enum Value {
         Str(String),
+        /// A number as written; read it with [`Value::as_u64`] or
+        /// [`Value::as_f64`].
         Num(String),
+        /// Object fields in document order.
         Obj(Vec<(String, Value)>),
-        // Parsed for forward-compatibility; no span field reads them yet.
-        #[allow(dead_code)]
         Arr(Vec<Value>),
-        #[allow(dead_code)]
         Bool(bool),
         Null,
     }
@@ -295,8 +295,16 @@ mod json {
                 _ => None,
             }
         }
+
+        pub fn as_array(&self) -> Option<&[Value]> {
+            match self {
+                Value::Arr(items) => Some(items),
+                _ => None,
+            }
+        }
     }
 
+    /// The value of `key` in an object's fields.
     pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
         obj.iter()
             .find(|(k, _)| k == key)
@@ -304,6 +312,7 @@ mod json {
             .ok_or_else(|| format!("missing field '{key}'"))
     }
 
+    /// Parse one complete JSON document (surrounding whitespace allowed).
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;

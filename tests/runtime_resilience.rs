@@ -266,6 +266,49 @@ fn interrupted_then_resumed_matches_uninterrupted_1d_and_3d() {
     }
 }
 
+/// The third checkpoint flag no longer selects anything: it is written as
+/// 1 and ignored on read, so a checkpoint carrying 0 there resumes to the
+/// same grid bits and ledger.
+#[test]
+fn third_checkpoint_flag_is_written_as_one_and_ignored_on_read() {
+    let config = |dir: PathBuf| RuntimeConfig {
+        devices: 2,
+        checkpoint_every: 2,
+        checkpoint_dir: Some(dir),
+        ..RuntimeConfig::default()
+    };
+    let dir_one = tmp_dir("flag_one");
+    let halted = run_job(
+        RuntimeConfig {
+            halt_after_checkpoints: Some(1),
+            ..config(dir_one.clone())
+        },
+        payload2d(VariantConfig::conv_stencil(), true),
+        STEPS,
+    );
+    assert!(halted.halted);
+    let (mut ck, warnings) = load_latest(&dir_one, Some("chaos")).unwrap();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(ck.flags, [false, true, true]);
+    ck.flags[2] = false;
+    let dir_zero = tmp_dir("flag_zero");
+    ck.save(&dir_zero).unwrap();
+
+    let resume = |dir: &Path| Runtime::new(config(dir.to_path_buf())).resume(Some("chaos"));
+    let (one, _) = resume(&dir_one).unwrap();
+    let (zero, warnings) = resume(&dir_zero).unwrap();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(zero.report.resumed_from_step, Some(2));
+    let bits =
+        |o: &JobOutcome| -> Vec<u64> { o.payload.interior().iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(&one), bits(&zero));
+    assert_eq!(counters_of(&one), counters_of(&zero));
+    assert_eq!(one.report.launch_stats, zero.report.launch_stats);
+    assert_eq!(one.report.sanitizer, zero.report.sanitizer);
+    let _ = std::fs::remove_dir_all(&dir_one);
+    let _ = std::fs::remove_dir_all(&dir_zero);
+}
+
 /// With `failure_threshold = 1` a single chunk failure trips the breaker
 /// open and the job migrates; the breaker-open and migration events land
 /// in the ledger in order.
