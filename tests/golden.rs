@@ -17,7 +17,9 @@ use convstencil_repro::convstencil::{
 };
 use convstencil_repro::runtime::{crc64, Job, JobOutcome, JobPayload, Runtime, RuntimeConfig};
 use convstencil_repro::stencil_core::{max_abs_diff, Boundary, Grid1D, Grid2D, Grid3D, Shape};
-use convstencil_repro::tcu_sim::{Counters, FaultPlan, LaunchStats, SanitizerReport, Trace};
+use convstencil_repro::tcu_sim::{
+    Counters, Device, FaultPlan, LaunchStats, Phase, SanitizerReport, Trace,
+};
 
 fn crc_f64(vals: &[f64]) -> String {
     let bytes: Vec<u8> = vals
@@ -247,6 +249,126 @@ fn smem_fault_lines(lines: &mut Vec<String>) {
     ));
 }
 
+/// Digest of a report's verbatim findings: the capped violation list
+/// (kind, launch, block, phase, address, detail) and every fault site, in
+/// report order.
+fn findings(san: &SanitizerReport) -> String {
+    let mut violations = String::new();
+    for v in &san.violations {
+        violations.push_str(&format!(
+            "{}|{}|{}|{}|{}|{}\n",
+            v.kind.name(),
+            v.launch,
+            v.block,
+            v.phase.name(),
+            v.addr,
+            v.detail
+        ));
+    }
+    let mut sites = String::new();
+    for s in &san.fault_sites {
+        sites.push_str(&format!(
+            "{}|{}|{}|{}\n",
+            s.launch,
+            s.block,
+            s.phase.name(),
+            s.addr
+        ));
+    }
+    format!(
+        "violations={}:{:016x} sites={}:{:016x}",
+        san.violations.len(),
+        crc64(violations.as_bytes()),
+        san.fault_sites.len(),
+        crc64(sites.as_bytes())
+    )
+}
+
+/// One direct `tcu_sim` kernel whose phases each hold one kind of
+/// finding: a racing store (scatter), conflicted fragment and scalar
+/// loads at strides 8, 16 and 4 (tessellation), an uninitialised
+/// fragment load at padded stride 12 (epilogue) and out-of-bounds
+/// fragment, scalar and store requests (halo exchange). Every loaded
+/// value is written to global memory, so the line pins what the loads
+/// return as well as what the sanitizer reports.
+fn device_findings_line() -> String {
+    const SHARED: usize = 256;
+    const OUT: usize = 7 * 32;
+    let mut dev = Device::a100()
+        .with_sanitizer(true)
+        .with_fault_plan(FaultPlan::quiet(0x9003).with_smem_corrupt_rate(0.5));
+    let out = dev.alloc(2 * OUT);
+    dev.launch(2, SHARED, |b, ctx| {
+        let mut got = Vec::with_capacity(OUT);
+        ctx.phase(Phase::SmemScatter);
+        let addrs: Vec<usize> = (0..64).collect();
+        let vals: Vec<f64> = (0..64).map(|i| (1000 * b + i) as f64).collect();
+        ctx.smem_store(&addrs, &vals);
+        // Lanes 3 and 4 coalesce (same value); lanes 5 and 9 race.
+        let mut addrs: Vec<usize> = (64..80).collect();
+        addrs[4] = 67;
+        addrs[9] = 69;
+        let vals: Vec<f64> = (0..16).map(|i| (i + 7 * b) as f64).collect();
+        let mut vals = vals;
+        vals[4] = vals[3];
+        ctx.smem_store(&addrs, &vals);
+
+        ctx.phase(Phase::Tessellation);
+        got.extend(ctx.load_frag_a(b, 8).data);
+        got.extend(ctx.load_frag_b(b, 16).data);
+        got.extend(ctx.load_frag_b(b, 4).data);
+        let strided: Vec<usize> = (0..16).map(|i| 4 * i).collect();
+        let mut vals = [0.0; 16];
+        ctx.smem_load(&strided, &mut vals);
+        got.extend(vals);
+
+        ctx.phase(Phase::Epilogue);
+        ctx.sanitize_exempt(128, 32);
+        got.extend(ctx.load_frag_a(128, 12).data);
+
+        ctx.phase(Phase::HaloExchange);
+        ctx.sanitize_exempt(192, 64);
+        got.extend(ctx.load_frag_a(240, 4).data);
+        got.extend(ctx.load_frag_b(200, 20).data);
+        ctx.smem_store(&[250, 251, 300, 252], &[1.0, 2.0, 3.0, 4.0]);
+        let mut vals = [0.0; 3];
+        ctx.smem_load(&[250, 1, 999], &mut vals);
+        got.extend(vals);
+        got.resize(OUT, 0.0);
+        ctx.gmem_write_span(out, b * OUT, &got);
+    });
+    let san = dev.take_sanitizer_report();
+    format!(
+        "device/findings out={} {} {} {}",
+        crc_f64(dev.download(out)),
+        findings(&san),
+        sanitizer(&Some(san.clone())),
+        ledger(&dev.counters, &dev.launch_stats)
+    )
+}
+
+/// Verbatim findings of the Fig. 6 variants whose scalar `smem_load`s
+/// are bank-flagged (Box-2D9P, variants I and II), and of
+/// [`device_findings_line`]'s kernel.
+fn findings_lines(lines: &mut Vec<String>) {
+    for (name, variant) in VariantConfig::breakdown().into_iter().take(2) {
+        let (_, rep) = runner2d()
+            .with_variant(variant)
+            .with_sanitizer(true)
+            .try_run(&grid2d(1), 7)
+            .unwrap();
+        let san = rep.sanitizer.as_ref().unwrap();
+        assert!(san.bank_total > 0, "variant {name} must be bank-flagged");
+        let tag = name.split(':').next().unwrap();
+        lines.push(format!(
+            "box2d9p/findings/{tag} {} {}",
+            findings(san),
+            sanitizer(&rep.sanitizer)
+        ));
+    }
+    lines.push(device_findings_line());
+}
+
 fn job_line(case: &str, outcome: &JobOutcome) -> String {
     let r = &outcome.report;
     let events = format!("{:?}", r.events);
@@ -358,6 +480,8 @@ fn every_runner_path_matches_the_recorded_digests() {
     variant_lines(&mut actual, [Shape::OneD5P, Shape::Box2D25P, Shape::Heat3D]);
     // Shared-memory corruption with the sanitizer and tracing on.
     smem_fault_lines(&mut actual);
+    // Verbatim violation lists and fault sites.
+    findings_lines(&mut actual);
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/digests.txt");
     let recorded = std::fs::read_to_string(&path).unwrap_or_default();
