@@ -72,14 +72,13 @@ impl WriteLog {
 }
 
 /// Recycled per-block working memory: shared-memory backing store,
-/// sanitizer shadow vectors, and the tracing phase log. Returned to the
+/// sanitizer shadow state, and the tracing phase log. Returned to the
 /// pool as soon as the block body finishes, so no more of it is live at
 /// once than there are blocks running.
 #[derive(Debug, Default)]
 struct BlockScratch {
     shared: Vec<f64>,
-    written: Vec<bool>,
-    exempt: Vec<bool>,
+    shadow: Vec<u8>,
     marks: Vec<(Phase, Counters)>,
 }
 
@@ -497,8 +496,7 @@ impl Device {
                     }),
                     shadow: sanitize.then(|| {
                         ShadowState::recycle(
-                            std::mem::take(&mut scratch.written),
-                            std::mem::take(&mut scratch.exempt),
+                            std::mem::take(&mut scratch.shadow),
                             shared_len,
                             attempt,
                             block_id,
@@ -533,9 +531,8 @@ impl Device {
                     per
                 });
                 let sanitizer = shadow.map(|shadow| {
-                    let (report, written, exempt) = shadow.into_parts();
-                    scratch.written = written;
-                    scratch.exempt = exempt;
+                    let (report, state) = shadow.into_parts();
+                    scratch.shadow = state;
                     report
                 });
                 scratch.shared = shared.into_data();
@@ -881,72 +878,88 @@ impl BlockCtx<'_> {
         self.checked_smem_load(addrs, out);
     }
 
-    /// Shared load with sanitizer checks; out-of-bounds lanes (already
-    /// reported as memcheck findings) are clamped to address 0 so the
-    /// simulation survives the defect.
+    /// Shared load. With a shadow, every phase is sanitized from the
+    /// degree the ledger is charged from; out-of-bounds lanes are judged
+    /// (memcheck) on the addresses as issued and then clamped to address
+    /// 0, so the simulation survives the defect.
     fn checked_smem_load(&mut self, addrs: &[usize], out: &mut [f64]) {
-        let clean = match &mut self.shadow {
-            Some(shadow) => shadow.check_load(&self.shared, addrs),
-            None => true,
-        };
-        if clean {
-            self.shared.load(&mut self.counters, addrs, out);
-        } else {
-            if self.shared.is_empty() {
-                out.fill(0.0);
-                return;
+        let len = self.shared.len();
+        match &mut self.shadow {
+            None => self
+                .shared
+                .load(&mut self.counters, addrs, out, |_, _, _| {}),
+            Some(shadow) if addrs.iter().all(|&a| a < len) => {
+                self.shared
+                    .load(&mut self.counters, addrs, out, |_, phase, stats| {
+                        shadow.load_phase(phase, stats.degree);
+                    })
             }
-            let len = self.shared.len();
-            let fixed: Vec<usize> = addrs.iter().map(|&a| if a < len { a } else { 0 }).collect();
-            self.shared.load(&mut self.counters, &fixed, out);
+            Some(shadow) => {
+                shadow.check_load(&self.shared, addrs);
+                if len == 0 {
+                    out.fill(0.0);
+                    return;
+                }
+                let fixed: Vec<usize> =
+                    addrs.iter().map(|&a| if a < len { a } else { 0 }).collect();
+                self.shared
+                    .load(&mut self.counters, &fixed, out, |_, _, _| {});
+            }
         }
     }
 
     /// Warp-level shared store with bank-conflict accounting. An active
-    /// fault plan may silently corrupt one stored value.
+    /// fault plan may silently corrupt one stored value. With a shadow,
+    /// every phase is sanitized (on the values as issued) from the degree
+    /// the ledger is charged from; out-of-bounds lanes are judged on the
+    /// addresses as issued and then dropped.
     pub fn smem_store(&mut self, addrs: &[usize], vals: &[f64]) {
-        let clean = match &mut self.shadow {
-            Some(shadow) => shadow.check_store(&self.shared, addrs, vals),
-            None => true,
-        };
-        let (filtered_addrs, filtered_vals);
-        let (addrs, vals): (&[usize], &[f64]) = if clean {
+        let len = self.shared.len();
+        let mut shadow = self.shadow.as_mut();
+        let mut in_bounds = true;
+        if let Some(s) = shadow.as_deref_mut() {
+            if addrs.iter().any(|&a| a >= len) {
+                s.check_store(&self.shared, addrs, vals);
+                in_bounds = false;
+            }
+        }
+        let (filtered_addrs, filtered_vals): (Vec<usize>, Vec<f64>);
+        let (addrs, vals) = if in_bounds {
             (addrs, vals)
         } else {
-            // Drop out-of-bounds lanes (already reported as memcheck).
-            let len = self.shared.len();
-            let mut fa = Vec::with_capacity(addrs.len());
-            let mut fv = Vec::with_capacity(vals.len());
-            for (&a, &v) in addrs.iter().zip(vals) {
-                if a < len {
-                    fa.push(a);
-                    fv.push(v);
-                }
-            }
-            filtered_addrs = fa;
-            filtered_vals = fv;
-            (&filtered_addrs, &filtered_vals)
+            // Drop out-of-bounds lanes (already reported as memcheck); the
+            // rest is charged but not checked twice.
+            (filtered_addrs, filtered_vals) =
+                addrs.iter().zip(vals).filter(|&(&a, _)| a < len).unzip();
+            (&filtered_addrs[..], &filtered_vals[..])
         };
         if addrs.is_empty() {
             return;
         }
+        let mut corrupted = None;
         if let Some(fault) = &mut self.fault {
             if let Some(h) = fault.smem_corrupt() {
                 let lane = (h >> 8) as usize % vals.len();
-                let mut corrupted = vals.to_vec();
-                corrupted[lane] = crate::fault::corrupt_value(vals[lane], h);
+                let mut v = vals.to_vec();
+                v[lane] = crate::fault::corrupt_value(vals[lane], h);
                 self.counters.smem_faults_injected += 1;
                 // The sanitizer records where the corruption landed — a
                 // value change leaves coverage intact, so initcheck alone
                 // cannot localize it.
-                if let Some(shadow) = &mut self.shadow {
-                    shadow.record_fault(addrs[lane]);
+                if let Some(s) = shadow.as_deref_mut() {
+                    s.record_fault(addrs[lane]);
                 }
-                self.shared.store(&mut self.counters, addrs, &corrupted);
-                return;
+                corrupted = Some(v);
             }
         }
-        self.shared.store(&mut self.counters, addrs, vals);
+        let stored = corrupted.as_deref().unwrap_or(vals);
+        let mut unchecked = shadow.filter(|_| in_bounds);
+        self.shared
+            .store(&mut self.counters, addrs, stored, |first, phase, stats| {
+                if let Some(s) = unchecked.as_deref_mut() {
+                    s.store_phase(first, phase, vals, stats);
+                }
+            });
     }
 
     /// Load an 8x4 `A` fragment from shared memory at `base` with row
@@ -954,52 +967,46 @@ impl BlockCtx<'_> {
     /// issues.
     pub fn load_frag_a(&mut self, base: usize, row_stride: usize) -> FragA {
         let addrs = FragA::load_addresses(base, row_stride);
-        let mut vals = [0.0; 32];
-        if self.shadow.is_none() {
-            self.fast_frag_load(false, row_stride, &addrs, &mut vals);
-        } else {
-            self.checked_smem_load(&addrs, &mut vals);
+        FragA {
+            data: self.load_frag(false, row_stride, &addrs),
         }
-        FragA { data: vals }
     }
 
     /// Load a 4x8 `B` fragment from shared memory.
     pub fn load_frag_b(&mut self, base: usize, row_stride: usize) -> FragB {
         let addrs = FragB::load_addresses(base, row_stride);
-        let mut vals = [0.0; 32];
-        if self.shadow.is_none() {
-            self.fast_frag_load(true, row_stride, &addrs, &mut vals);
-        } else {
-            self.checked_smem_load(&addrs, &mut vals);
+        FragB {
+            data: self.load_frag(true, row_stride, &addrs),
         }
-        FragB { data: vals }
     }
 
-    /// Fragment load with the conflict degrees served from
-    /// [`FragDegreeCache`]: charges exactly what [`SharedMemory::load`]
-    /// would (two 16-lane phases per 32-lane fragment) without rerunning
-    /// the per-bank histogram. Only used when the sanitizer is off — the
-    /// shadow-checked path needs the full per-address walk anyway.
-    fn fast_frag_load(
-        &mut self,
-        is_b: bool,
-        stride: usize,
-        addrs: &[usize; 32],
-        out: &mut [f64; 32],
-    ) {
+    /// The one fragment load, sanitized or not. Conflict degrees come from
+    /// [`FragDegreeCache`], so it charges exactly what
+    /// [`BlockCtx::smem_load_frag`] would (two 16-lane phases per 32-lane
+    /// fragment) without rerunning the per-bank histogram, and a shadow
+    /// consumes the same degrees. A fragment's addresses increase with
+    /// the lane, so one test on lane 31 bounds it; only a fragment that
+    /// overruns shared memory takes the clamping scalar path.
+    fn load_frag(&mut self, is_b: bool, stride: usize, addrs: &[usize; 32]) -> [f64; 32] {
+        const HALF: usize = crate::shared::F64_PHASE_LANES;
+        let mut out = [0.0; 32];
+        if self.shadow.is_some() && addrs[31] >= self.shared.len() {
+            self.checked_smem_load(addrs, &mut out);
+            return out;
+        }
         let (d0, d1) = match self.frag_degrees.get(is_b, stride) {
             Some(d) => d,
             None => {
-                let d0 = self
-                    .shared
-                    .phase_conflict_degree(&addrs[..crate::shared::F64_PHASE_LANES]);
-                let d1 = self
-                    .shared
-                    .phase_conflict_degree(&addrs[crate::shared::F64_PHASE_LANES..]);
+                let d0 = self.shared.phase_conflict_degree(&addrs[..HALF]);
+                let d1 = self.shared.phase_conflict_degree(&addrs[HALF..]);
                 self.frag_degrees.put(is_b, stride, d0, d1);
                 (d0, d1)
             }
         };
+        if let Some(shadow) = &mut self.shadow {
+            shadow.load_phase(&addrs[..HALF], d0);
+            shadow.load_phase(&addrs[HALF..], d1);
+        }
         self.counters.shared_read_requests += 2;
         self.counters.shared_read_conflicts += (d0 - 1) as u64 + (d1 - 1) as u64;
         self.counters.shared_read_bytes += 8 * addrs.len() as u64;
@@ -1007,6 +1014,7 @@ impl BlockCtx<'_> {
         for (o, &a) in out.iter_mut().zip(addrs) {
             *o = data[a];
         }
+        out
     }
 
     // ---- Compute -------------------------------------------------------
@@ -1057,6 +1065,107 @@ impl BlockCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One fragment load after a 256-word prefix of shared memory is
+    /// stored (and a window past it exempted), in a one-block launch with
+    /// or without the sanitizer: the loaded values, the load's counter
+    /// delta and the device's sanitizer report.
+    fn frag_load_run(
+        is_b: bool,
+        base: usize,
+        stride: usize,
+        sanitize: bool,
+    ) -> ([f64; 32], Counters, SanitizerReport) {
+        let got = Mutex::new(([0.0; 32], Counters::default()));
+        let mut dev = Device::a100().with_sanitizer(sanitize);
+        dev.launch(1, FRAG_TEST_LEN, |_, ctx| {
+            ctx.phase(Phase::SmemScatter);
+            ctx.smem_store(&FRAG_TEST_PREFIX, &frag_test_values());
+            ctx.sanitize_exempt(300, 20);
+            ctx.phase(Phase::Tessellation);
+            let before = ctx.counters;
+            let vals = if is_b {
+                ctx.load_frag_b(base, stride).data
+            } else {
+                ctx.load_frag_a(base, stride).data
+            };
+            *got.lock().unwrap() = (vals, ctx.counters.saturating_sub(&before));
+        });
+        let (vals, delta) = got.into_inner().unwrap();
+        (vals, delta, dev.take_sanitizer_report())
+    }
+
+    const FRAG_TEST_LEN: usize = 512;
+    const FRAG_TEST_PREFIX: [usize; 256] = {
+        let mut a = [0; 256];
+        let mut i = 0;
+        while i < 256 {
+            a[i] = i;
+            i += 1;
+        }
+        a
+    };
+
+    fn frag_test_values() -> Vec<f64> {
+        (0..256).map(|i| i as f64 * 0.5 + 1.0).collect()
+    }
+
+    #[test]
+    fn unified_fragment_load_matches_plain_load_and_check_load() {
+        // Padded stride 12 (conflict-free), strides 8 and 16 (conflicted),
+        // a fragment reaching unwritten and exempt words, and bases whose
+        // fragments overrun shared memory at strides 8 and 16.
+        let cases = [
+            (3, 12, false),
+            (5, 8, false),
+            (1, 16, false),
+            (230, 12, false),
+            (FRAG_TEST_LEN - 20, 8, true),
+            (FRAG_TEST_LEN - 30, 16, true),
+        ];
+        for is_b in [false, true] {
+            for (base, stride, oob) in cases {
+                let case = format!("is_b={is_b} base={base} stride={stride}");
+                let addrs = if is_b {
+                    FragB::load_addresses(base, stride)
+                } else {
+                    FragA::load_addresses(base, stride)
+                };
+                assert_eq!(addrs[31] >= FRAG_TEST_LEN, oob, "{case}");
+                let (vals, delta, report) = frag_load_run(is_b, base, stride, true);
+
+                // The same accesses through the uncached, unconditional
+                // checkers: the shadow's own degree pass and the scalar
+                // load of the clamped addresses.
+                let mut shared = SharedMemory::recycle(Vec::new(), FRAG_TEST_LEN, 32);
+                let mut shadow = ShadowState::recycle(Vec::new(), FRAG_TEST_LEN, 0, 0);
+                let mut c = Counters::default();
+                shadow.set_phase(Phase::SmemScatter);
+                shadow.check_store(&shared, &FRAG_TEST_PREFIX, &frag_test_values());
+                shared.store(&mut c, &FRAG_TEST_PREFIX, &frag_test_values(), |_, _, _| {});
+                shadow.exempt_range(300, 20);
+                shadow.set_phase(Phase::Tessellation);
+                assert_eq!(shadow.check_load(&shared, &addrs), !oob, "{case}");
+                let clamped = addrs.map(|a| if a < FRAG_TEST_LEN { a } else { 0 });
+                let mut expected_vals = [0.0; 32];
+                let mut expected = Counters::default();
+                shared.load(&mut expected, &clamped, &mut expected_vals, |_, _, _| {});
+                assert_eq!(report, shadow.into_parts().0, "{case}");
+                assert_eq!(vals, expected_vals, "{case}");
+                assert_eq!(delta, expected, "{case}");
+                if !oob {
+                    // (An overrunning fragment's findings judge the
+                    // addresses as issued, its ledger the clamped ones.)
+                    assert_eq!(report.bank_total, delta.shared_read_conflicts, "{case}");
+                    let (plain_vals, plain_delta, plain_report) =
+                        frag_load_run(is_b, base, stride, false);
+                    assert_eq!(vals, plain_vals, "{case}");
+                    assert_eq!(delta, plain_delta, "{case}");
+                    assert!(plain_report.is_clean(), "{case}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn launch_reads_prelaunch_state_and_retires_writes() {

@@ -26,10 +26,19 @@
 //!   any layout) are binned in the histogram as diagnostics but are not
 //!   violations.
 //!
-//! The shadow state is allocated per block *only when sanitizing is on* —
-//! the default path carries a `None` and pays one branch per access.
+//! The shadow is one state byte per shared word (written / exempt), so
+//! initcheck is one lookup per lane. It is allocated per block *only when
+//! sanitizing is on*; the default path carries a `None` and pays one
+//! branch per access. The shadow computes no bank-conflict degree of its
+//! own for an in-bounds request: it consumes the per-phase degrees the
+//! shared-memory ledger is charged from (fragment loads take theirs from
+//! the per-block degree cache), and the same pass counts each phase's
+//! distinct addresses, so racecheck's lane-pair scan runs only on phases
+//! that repeat an address. Only a request with an out-of-bounds lane is
+//! judged on its own pass over the addresses as issued, because the
+//! ledger then charges the clamped or filtered request.
 
-use crate::shared::{SharedMemory, F64_PHASE_LANES};
+use crate::shared::{PhaseStats, SharedMemory, F64_PHASE_LANES};
 use crate::trace::Phase;
 use serde::{Deserialize, Serialize};
 
@@ -191,29 +200,33 @@ impl SanitizerReport {
         s
     }
 
-    fn record(&mut self, v: Violation) {
-        match v.kind {
+    /// Count one finding of `kind`; `v` is its verbatim record, built by
+    /// the caller only while the list has room.
+    fn record(&mut self, kind: ViolationKind, v: Option<Violation>) {
+        match kind {
             ViolationKind::InitCheck => self.init_total += 1,
             ViolationKind::MemCheck => self.mem_total += 1,
             ViolationKind::RaceCheck => self.race_total += 1,
             // bank_total is bumped by the replay count at the call site.
             ViolationKind::BankCheck => {}
         }
-        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
-            self.violations.push(v);
-        }
+        self.violations.extend(v);
     }
 }
+
+/// Shadow state bit: the word was stored to at least once this launch.
+const WRITTEN: u8 = 1;
+/// Shadow state bit: the word is declared legitimately read-before-write
+/// (dirty-bits padding and fragment over-read tails).
+const EXEMPT: u8 = 2;
 
 /// Per-block shadow of shared memory, owned by the block context while a
 /// sanitized launch runs and folded into the device report afterwards.
 #[derive(Debug)]
 pub struct ShadowState {
-    /// Word was stored to at least once this launch.
-    written: Vec<bool>,
-    /// Word is declared legitimately read-before-write (dirty-bits padding
-    /// and fragment over-read tails).
-    exempt: Vec<bool>,
+    /// One state byte per shared word ([`WRITTEN`] | [`EXEMPT`]); a word
+    /// is readable iff its byte is nonzero.
+    state: Vec<u8>,
     phase: Phase,
     launch: u64,
     block: usize,
@@ -221,35 +234,15 @@ pub struct ShadowState {
 }
 
 impl ShadowState {
-    pub fn new(shared_len: usize, launch: u64, block: usize) -> Self {
+    /// A fresh shadow of `shared_len` words over a recycled state vector
+    /// (the launch scratch pool). The vector is cleared and re-sized to
+    /// all zero, so whatever it held before, the shadow starts with no
+    /// word written or exempt; only the allocation is reused.
+    pub fn recycle(mut state: Vec<u8>, shared_len: usize, launch: u64, block: usize) -> Self {
+        state.clear();
+        state.resize(shared_len, 0);
         Self {
-            written: vec![false; shared_len],
-            exempt: vec![false; shared_len],
-            phase: Phase::Uncategorized,
-            launch,
-            block,
-            report: SanitizerReport::default(),
-        }
-    }
-
-    /// [`ShadowState::new`] over recycled shadow vectors (the launch
-    /// scratch pool). The vectors are cleared and re-sized to all
-    /// `false`, so a recycled shadow behaves bit-identically to a fresh
-    /// one — only the two allocations are saved.
-    pub fn recycle(
-        mut written: Vec<bool>,
-        mut exempt: Vec<bool>,
-        shared_len: usize,
-        launch: u64,
-        block: usize,
-    ) -> Self {
-        written.clear();
-        written.resize(shared_len, false);
-        exempt.clear();
-        exempt.resize(shared_len, false);
-        Self {
-            written,
-            exempt,
+            state,
             phase: Phase::Uncategorized,
             launch,
             block,
@@ -269,10 +262,10 @@ impl ShadowState {
     /// Declare `[start, start + len)` exempt from initcheck/racecheck.
     /// Out-of-range parts are ignored (the range itself is not an access).
     pub fn exempt_range(&mut self, start: usize, len: usize) {
-        let cap = self.exempt.len();
+        let cap = self.state.len();
         let end = start.saturating_add(len).min(cap);
-        for e in &mut self.exempt[start.min(cap)..end] {
-            *e = true;
+        for e in &mut self.state[start.min(cap)..end] {
+            *e |= EXEMPT;
         }
     }
 
@@ -286,49 +279,55 @@ impl ShadowState {
         });
     }
 
-    fn violation(&mut self, kind: ViolationKind, addr: usize, detail: String) {
-        let v = Violation {
+    /// Count a finding, and keep it verbatim while the record has room
+    /// (the detail is only formatted then).
+    fn violation(&mut self, kind: ViolationKind, addr: usize, detail: impl FnOnce() -> String) {
+        let v = (self.report.violations.len() < MAX_RECORDED_VIOLATIONS).then(|| Violation {
             kind,
             launch: self.launch,
             block: self.block,
             phase: self.phase,
             addr,
-            detail,
-        };
-        self.report.record(v);
+            detail: detail(),
+        });
+        self.report.record(kind, v);
     }
 
     /// Check a shared-memory load. Returns `true` when every address is in
     /// bounds (the caller may then issue the access unmodified).
     pub fn check_load(&mut self, shared: &SharedMemory, addrs: &[usize]) -> bool {
-        let len = shared.len();
         let mut in_bounds = true;
-        for chunk in addrs.chunks(F64_PHASE_LANES) {
-            let degree = shared.phase_conflict_degree(chunk);
-            if degree > 1 {
-                let replays = (degree - 1) as u64;
-                self.report.load_conflicts[self.phase.index()] += replays;
-                self.report.bank_total += replays;
-                self.violation(
-                    ViolationKind::BankCheck,
-                    chunk[0],
-                    format!("load phase with {degree}-way bank conflict ({replays} replays)"),
-                );
-            }
-            for &a in chunk {
-                if a >= len {
+        for phase in addrs.chunks(F64_PHASE_LANES) {
+            in_bounds &= self.load_phase(phase, shared.phase_stats(phase).degree);
+        }
+        in_bounds
+    }
+
+    /// Check one 16-lane load phase whose conflict degree the caller has
+    /// already found: bankcheck first, then memcheck/initcheck per lane.
+    /// Returns `true` when every address is in bounds.
+    pub(crate) fn load_phase(&mut self, phase: &[usize], degree: u32) -> bool {
+        if degree > 1 {
+            let replays = (degree - 1) as u64;
+            self.report.load_conflicts[self.phase.index()] += replays;
+            self.report.bank_total += replays;
+            self.violation(ViolationKind::BankCheck, phase[0], || {
+                format!("load phase with {degree}-way bank conflict ({replays} replays)")
+            });
+        }
+        let mut in_bounds = true;
+        for &a in phase {
+            match self.state.get(a) {
+                Some(0) => self.violation(ViolationKind::InitCheck, a, || {
+                    "shared load of a word never written this launch".to_string()
+                }),
+                Some(_) => {}
+                None => {
                     in_bounds = false;
-                    self.violation(
-                        ViolationKind::MemCheck,
-                        a,
-                        format!("shared load out of bounds (capacity {len} f64)"),
-                    );
-                } else if !self.written[a] && !self.exempt[a] {
-                    self.violation(
-                        ViolationKind::InitCheck,
-                        a,
-                        "shared load of a word never written this launch".to_string(),
-                    );
+                    let len = self.state.len();
+                    self.violation(ViolationKind::MemCheck, a, || {
+                        format!("shared load out of bounds (capacity {len} f64)")
+                    });
                 }
             }
         }
@@ -338,45 +337,57 @@ impl ShadowState {
     /// Check a shared-memory store. Returns `true` when every address is
     /// in bounds.
     pub fn check_store(&mut self, shared: &SharedMemory, addrs: &[usize], vals: &[f64]) -> bool {
-        let len = shared.len();
         let mut in_bounds = true;
-        for (chunk_idx, chunk) in addrs.chunks(F64_PHASE_LANES).enumerate() {
-            let degree = shared.phase_conflict_degree(chunk);
-            if degree > 1 {
-                self.report.store_conflicts[self.phase.index()] += (degree - 1) as u64;
-            }
-            let base = chunk_idx * F64_PHASE_LANES;
-            for (i, &a) in chunk.iter().enumerate() {
-                if a >= len {
-                    in_bounds = false;
-                    self.violation(
-                        ViolationKind::MemCheck,
-                        a,
-                        format!("shared store out of bounds (capacity {len} f64)"),
-                    );
-                    continue;
+        for (i, phase) in addrs.chunks(F64_PHASE_LANES).enumerate() {
+            let first = i * F64_PHASE_LANES;
+            in_bounds &= self.store_phase(first, phase, vals, shared.phase_stats(phase));
+        }
+        in_bounds
+    }
+
+    /// Check one 16-lane store phase (lanes `first..`, values indexed by
+    /// lane in `vals`) whose [`PhaseStats`] the caller has already found:
+    /// its conflicts are binned, then memcheck and racecheck run per lane.
+    /// Returns `true` when every address is in bounds.
+    pub(crate) fn store_phase(
+        &mut self,
+        first: usize,
+        phase: &[usize],
+        vals: &[f64],
+        stats: PhaseStats,
+    ) -> bool {
+        if stats.degree > 1 {
+            self.report.store_conflicts[self.phase.index()] += (stats.degree - 1) as u64;
+        }
+        // Only a phase that repeats an address can race.
+        let repeats = stats.distinct < phase.len();
+        let mut in_bounds = true;
+        for (i, &a) in phase.iter().enumerate() {
+            let Some(&state) = self.state.get(a) else {
+                in_bounds = false;
+                let len = self.state.len();
+                self.violation(ViolationKind::MemCheck, a, || {
+                    format!("shared store out of bounds (capacity {len} f64)")
+                });
+                continue;
+            };
+            if repeats && state & EXEMPT == 0 {
+                // Same word written twice in one phase with different
+                // values: on hardware one lane wins arbitrarily.
+                let bits = vals[first + i].to_bits();
+                if let Some(j) =
+                    (0..i).find(|&j| phase[j] == a && vals[first + j].to_bits() != bits)
+                {
+                    self.violation(ViolationKind::RaceCheck, a, || {
+                        format!(
+                            "lanes {} and {} store different values to one word in one phase",
+                            first + j,
+                            first + i
+                        )
+                    });
                 }
-                if !self.exempt[a] {
-                    // Same word written twice in one phase with different
-                    // values: on hardware one lane wins arbitrarily.
-                    for (j, &b) in chunk[..i].iter().enumerate() {
-                        if b == a && vals[base + i].to_bits() != vals[base + j].to_bits() {
-                            self.violation(
-                                ViolationKind::RaceCheck,
-                                a,
-                                format!(
-                                    "lanes {} and {} store different values to one word \
-                                     in one phase",
-                                    base + j,
-                                    base + i
-                                ),
-                            );
-                            break;
-                        }
-                    }
-                }
-                self.written[a] = true;
             }
+            self.state[a] = state | WRITTEN;
         }
         in_bounds
     }
@@ -389,11 +400,9 @@ impl ShadowState {
             if a != crate::global::INACTIVE && a >= buffer_len {
                 in_bounds = false;
                 let dir = if is_read { "read" } else { "write" };
-                self.violation(
-                    ViolationKind::MemCheck,
-                    a,
-                    format!("global {dir} out of bounds (buffer holds {buffer_len} f64)"),
-                );
+                self.violation(ViolationKind::MemCheck, a, || {
+                    format!("global {dir} out of bounds (buffer holds {buffer_len} f64)")
+                });
             }
         }
         in_bounds
@@ -416,23 +425,20 @@ impl ShadowState {
         self.violation(
             ViolationKind::MemCheck,
             start.saturating_add(len).saturating_sub(1),
-            format!(
-                "global span {dir} [{start}, {}) overruns buffer of {buffer_len} f64",
-                start + len
-            ),
+            || {
+                format!(
+                    "global span {dir} [{start}, {}) overruns buffer of {buffer_len} f64",
+                    start + len
+                )
+            },
         );
         buffer_len.saturating_sub(start).min(len)
     }
 
-    /// Consume the shadow, yielding this block's report.
-    pub fn into_report(self) -> SanitizerReport {
-        self.report
-    }
-
-    /// Consume the shadow, yielding the report plus the shadow vectors so
-    /// the launch scratch pool can recycle them.
-    pub fn into_parts(self) -> (SanitizerReport, Vec<bool>, Vec<bool>) {
-        (self.report, self.written, self.exempt)
+    /// Consume the shadow, yielding the report plus the state vector so
+    /// the launch scratch pool can recycle it.
+    pub fn into_parts(self) -> (SanitizerReport, Vec<u8>) {
+        (self.report, self.state)
     }
 }
 
@@ -440,8 +446,15 @@ impl ShadowState {
 mod tests {
     use super::*;
 
+    fn shadow_at(len: usize, launch: u64, block: usize) -> (ShadowState, SharedMemory) {
+        (
+            ShadowState::recycle(Vec::new(), len, launch, block),
+            SharedMemory::recycle(Vec::new(), len, 32),
+        )
+    }
+
     fn shadow(len: usize) -> (ShadowState, SharedMemory) {
-        (ShadowState::new(len, 7, 3), SharedMemory::new(len, 32))
+        shadow_at(len, 7, 3)
     }
 
     #[test]
@@ -548,10 +561,9 @@ mod tests {
     fn report_merge_caps_records_but_not_totals() {
         let mut total = SanitizerReport::default();
         for block in 0..40 {
-            let mut s = ShadowState::new(8, 0, block);
-            let m = SharedMemory::new(8, 32);
+            let (mut s, m) = shadow_at(8, 0, block);
             s.check_load(&m, &[0, 1]); // 2 initcheck findings each
-            total.merge(s.into_report());
+            total.merge(s.into_parts().0);
         }
         assert_eq!(total.init_total, 80);
         assert_eq!(total.violations.len(), MAX_RECORDED_VIOLATIONS);
@@ -561,29 +573,65 @@ mod tests {
 
     #[test]
     fn recycled_shadow_matches_fresh() {
-        // Dirty a shadow thoroughly, then recycle its vectors into a new
-        // (larger) shadow and re-run an access sequence next to a fresh
-        // shadow: the reports must match exactly.
+        // Dirty a shadow thoroughly, then recycle its state vector into a
+        // new (larger) shadow and re-run an access sequence next to a
+        // fresh shadow: the reports must match exactly.
         let (mut dirty, m) = shadow(16);
         dirty.exempt_range(0, 16);
         dirty.check_store(&m, &[0, 1, 2, 3], &[1.0; 4]);
-        let (_, written, exempt) = dirty.into_parts();
-        let mut recycled = ShadowState::recycle(written, exempt, 32, 7, 3);
-        let (mut fresh, m32) = (ShadowState::new(32, 7, 3), SharedMemory::new(32, 32));
+        let (_, state) = dirty.into_parts();
+        let mut recycled = ShadowState::recycle(state, 32, 7, 3);
+        let (mut fresh, m32) = shadow(32);
         for s in [&mut recycled, &mut fresh] {
             s.check_store(&m32, &[4, 5], &[1.0, 2.0]);
-            s.check_load(&m32, &[4, 5, 6]); // one initcheck at 6
+            s.check_load(&m32, &[4, 5, 6, 0]); // initcheck at 6 and 0
         }
         assert_eq!(recycled.report, fresh.report);
-        assert_eq!(recycled.report.init_total, 1);
+        assert_eq!(recycled.report.init_total, 2);
+    }
+
+    #[test]
+    fn records_stop_at_the_cap_but_totals_do_not() {
+        let (mut s, m) = shadow(4);
+        let addrs = [0, 1, 2, 3];
+        for _ in 0..20 {
+            s.check_load(&m, &addrs);
+        }
+        assert_eq!(s.report.init_total, 80);
+        assert_eq!(s.report.violations.len(), MAX_RECORDED_VIOLATIONS);
+        let last = s.report.violations.last().unwrap();
+        assert_eq!(last.addr, (MAX_RECORDED_VIOLATIONS - 1) % 4);
+    }
+
+    #[test]
+    fn racecheck_reports_the_first_differing_earlier_lane() {
+        let (mut s, m) = shadow(64);
+        // Each lane is paired with the first earlier lane that stores a
+        // different value to its word: lane 2 repeats lane 0's value, so
+        // it is paired with lane 1.
+        s.check_store(&m, &[9, 9, 9, 9], &[1.0, 2.0, 1.0, 3.0]);
+        let details: Vec<&str> = s
+            .report
+            .violations
+            .iter()
+            .map(|v| v.detail.as_str())
+            .collect();
+        assert_eq!(
+            details,
+            [
+                "lanes 0 and 1 store different values to one word in one phase",
+                "lanes 1 and 2 store different values to one word in one phase",
+                "lanes 0 and 3 store different values to one word in one phase",
+            ]
+        );
     }
 
     #[test]
     fn fault_sites_localize_launch_block_phase() {
-        let mut s = ShadowState::new(32, 11, 2);
+        let (mut s, _) = shadow_at(32, 11, 2);
         s.set_phase(Phase::SmemScatter);
         s.record_fault(17);
-        let r = s.into_report();
+        let (r, _) = s.into_parts();
         assert!(r.is_clean(), "fault sites alone leave a report clean");
         assert_eq!(
             r.fault_sites,

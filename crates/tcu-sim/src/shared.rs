@@ -29,22 +29,13 @@ pub struct SharedMemory {
 }
 
 impl SharedMemory {
-    /// Allocate `len` f64 elements of shared memory with `banks` 4-byte
-    /// banks (32 on A100). Contents start zeroed for reproducibility, but
-    /// algorithms must not rely on that (real shared memory is garbage);
-    /// the dirty-bits-padding tests assert padding is never read.
-    pub fn new(len: usize, banks: usize) -> Self {
-        assert!(banks.is_power_of_two(), "bank count must be a power of two");
-        Self {
-            data: vec![0.0; len],
-            banks,
-        }
-    }
-
-    /// [`SharedMemory::new`] over a recycled backing vector (the launch
-    /// scratch pool). The vector is cleared, resized, and re-zeroed,
-    /// so a recycled shared memory is bit-identical to a fresh one — only
-    /// the allocation is saved.
+    /// `len` f64 elements of shared memory with `banks` 4-byte banks (32
+    /// on A100), over a recycled backing vector (the launch scratch pool).
+    /// The vector is cleared, resized and re-zeroed, so contents start
+    /// zeroed whatever it held before, and only its allocation is reused.
+    /// Algorithms must not rely on the zeros (real shared memory is
+    /// garbage); the dirty-bits-padding tests assert padding is never
+    /// read.
     pub fn recycle(mut data: Vec<f64>, len: usize, banks: usize) -> Self {
         assert!(banks.is_power_of_two(), "bank count must be a power of two");
         data.clear();
@@ -84,34 +75,37 @@ impl SharedMemory {
     /// Each f64 at element address `a` occupies 32-bit words `2a` and
     /// `2a + 1`; word `w` lives in bank `w % banks`.
     pub fn phase_conflict_degree(&self, phase: &[usize]) -> u32 {
-        if phase.is_empty() {
-            return 1;
-        }
+        self.phase_stats(phase).degree
+    }
+
+    /// Conflict degree and distinct-address count of one phase.
+    pub(crate) fn phase_stats(&self, phase: &[usize]) -> PhaseStats {
         // Distinct-address filter: broadcasts don't conflict. Lane counts
-        // are tiny (<=16) so a linear scan beats hashing. Phases and bank
-        // counts fit fixed arrays on real configurations, keeping this
-        // hot path allocation-free; oversized inputs take a general path.
-        if phase.len() <= F64_PHASE_LANES && self.banks <= MAX_FAST_BANKS {
+        // are tiny (<=16) so a linear scan beats hashing. With an even
+        // bank count, words `2a` and `2a + 1` sit in the bank pair
+        // `a % (banks / 2)`, so counting distinct addresses per pair gives
+        // the per-bank histogram; phases and pair counts fit fixed arrays
+        // on real configurations, keeping this hot path allocation-free.
+        // Oversized inputs take the general word-by-word path.
+        if phase.len() <= F64_PHASE_LANES && (2..=MAX_FAST_BANKS).contains(&self.banks) {
+            let pair_mask = self.banks / 2 - 1;
             let mut distinct = [0usize; F64_PHASE_LANES];
             let mut nd = 0usize;
+            let mut per_pair = [0u32; MAX_FAST_BANKS / 2];
+            let mut degree = 1;
             for &a in phase {
                 if !distinct[..nd].contains(&a) {
                     distinct[nd] = a;
                     nd += 1;
+                    let count = &mut per_pair[a & pair_mask];
+                    *count += 1;
+                    degree = degree.max(*count);
                 }
             }
-            let mut per_bank = [0u32; MAX_FAST_BANKS];
-            for &a in &distinct[..nd] {
-                for w in [2 * a, 2 * a + 1] {
-                    per_bank[w % self.banks] += 1;
-                }
-            }
-            return per_bank[..self.banks]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(1)
-                .max(1);
+            return PhaseStats {
+                degree,
+                distinct: nd,
+            };
         }
         let mut distinct: Vec<usize> = Vec::with_capacity(phase.len());
         for &a in phase {
@@ -125,27 +119,45 @@ impl SharedMemory {
                 per_bank[w % self.banks] += 1;
             }
         }
-        per_bank.iter().copied().max().unwrap_or(1).max(1)
+        PhaseStats {
+            degree: per_bank.iter().copied().max().unwrap_or(1).max(1),
+            distinct: distinct.len(),
+        }
     }
 
     /// Account one f64 access pattern (any number of lanes), split into
-    /// 16-lane phases. Returns the number of phases ("requests") and the
-    /// total extra replays charged.
-    fn account(&self, addrs: &[usize]) -> (u64, u64) {
+    /// 16-lane phases, handing each phase's first lane index, addresses
+    /// and [`PhaseStats`] to `seen` (the sanitizer shadow consumes the
+    /// same degrees the ledger is charged from). Returns the number of
+    /// phases ("requests") and the total extra replays charged.
+    fn account(
+        &self,
+        addrs: &[usize],
+        mut seen: impl FnMut(usize, &[usize], PhaseStats),
+    ) -> (u64, u64) {
         let mut requests = 0u64;
         let mut replays = 0u64;
-        for phase in addrs.chunks(F64_PHASE_LANES) {
+        for (i, phase) in addrs.chunks(F64_PHASE_LANES).enumerate() {
+            let stats = self.phase_stats(phase);
             requests += 1;
-            replays += (self.phase_conflict_degree(phase) - 1) as u64;
+            replays += (stats.degree - 1) as u64;
+            seen(i * F64_PHASE_LANES, phase, stats);
         }
         (requests, replays)
     }
 
     /// Warp-level load: reads `addrs` (f64 element indices) into `out`,
-    /// charging requests/bytes/conflicts to `counters`.
-    pub fn load(&self, counters: &mut Counters, addrs: &[usize], out: &mut [f64]) {
+    /// charging requests/bytes/conflicts to `counters`. `seen` observes
+    /// every phase as [`SharedMemory::account`] charges it.
+    pub(crate) fn load(
+        &self,
+        counters: &mut Counters,
+        addrs: &[usize],
+        out: &mut [f64],
+        seen: impl FnMut(usize, &[usize], PhaseStats),
+    ) {
         assert_eq!(addrs.len(), out.len());
-        let (requests, replays) = self.account(addrs);
+        let (requests, replays) = self.account(addrs, seen);
         counters.shared_read_requests += requests;
         counters.shared_read_conflicts += replays;
         counters.shared_read_bytes += 8 * addrs.len() as u64;
@@ -155,16 +167,23 @@ impl SharedMemory {
     }
 
     /// Warp-level store: writes `vals` to `addrs`, charging
-    /// requests/bytes/conflicts to `counters`.
+    /// requests/bytes/conflicts to `counters`; `seen` observes every
+    /// phase as it is charged.
     ///
     /// Duplicate addresses within one store are allowed: on hardware one
     /// lane wins arbitrarily and no replay is charged (same-address
     /// traffic coalesces); here the highest lane wins deterministically.
     /// ConvStencil's dirty-bits padding relies on this — every dropped
     /// element of a warp dumps into the same padding slot.
-    pub fn store(&mut self, counters: &mut Counters, addrs: &[usize], vals: &[f64]) {
+    pub(crate) fn store(
+        &mut self,
+        counters: &mut Counters,
+        addrs: &[usize],
+        vals: &[f64],
+        seen: impl FnMut(usize, &[usize], PhaseStats),
+    ) {
         assert_eq!(addrs.len(), vals.len());
-        let (requests, replays) = self.account(addrs);
+        let (requests, replays) = self.account(addrs, seen);
         counters.shared_write_requests += requests;
         counters.shared_write_conflicts += replays;
         counters.shared_write_bytes += 8 * addrs.len() as u64;
@@ -172,6 +191,15 @@ impl SharedMemory {
             self.data[a] = v;
         }
     }
+}
+
+/// What one bank-degree pass learns about a phase: its conflict degree
+/// (`degree - 1` replays are charged) and its number of distinct
+/// addresses (a phase with no repeated address cannot race).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PhaseStats {
+    pub degree: u32,
+    pub distinct: usize,
 }
 
 /// Smallest per-row padding (in f64 elements) that makes strided 8x4 f64
@@ -232,8 +260,24 @@ pub fn stride_is_conflict_free(stride: usize, banks: usize) -> bool {
 mod tests {
     use super::*;
 
+    fn shared(len: usize) -> SharedMemory {
+        SharedMemory::recycle(Vec::new(), len, 32)
+    }
+
     fn mem() -> SharedMemory {
-        SharedMemory::new(4096, 32)
+        shared(4096)
+    }
+
+    /// Word-by-word bank histogram, straight from the module docs.
+    fn reference_degree(phase: &[usize], banks: usize) -> u32 {
+        let mut words: Vec<usize> = phase.iter().flat_map(|&a| [2 * a, 2 * a + 1]).collect();
+        words.sort_unstable();
+        words.dedup();
+        (0..banks)
+            .map(|b| words.iter().filter(|&&w| w % banks == b).count() as u32)
+            .max()
+            .unwrap_or(0)
+            .max(1)
     }
 
     #[test]
@@ -270,7 +314,7 @@ mod tests {
 
     #[test]
     fn fragment_phase_at_bad_stride_is_charged() {
-        let m = SharedMemory::new(266 * 8, 32);
+        let m = shared(266 * 8);
         let mut addrs = Vec::new();
         for r in 0..4 {
             for c in 0..4 {
@@ -284,7 +328,7 @@ mod tests {
                 good.push(r * 268 + c);
             }
         }
-        let m2 = SharedMemory::new(268 * 8, 32);
+        let m2 = shared(268 * 8);
         assert_eq!(m2.phase_conflict_degree(&good), 1);
     }
 
@@ -294,12 +338,12 @@ mod tests {
         let mut c = Counters::default();
         let addrs: Vec<usize> = (0..32).collect();
         let vals: Vec<f64> = (0..32).map(|i| i as f64 * 1.5).collect();
-        m.store(&mut c, &addrs, &vals);
+        m.store(&mut c, &addrs, &vals, |_, _, _| {});
         assert_eq!(c.shared_write_requests, 2); // 32 lanes = 2 phases
         assert_eq!(c.shared_write_conflicts, 0);
         assert_eq!(c.shared_write_bytes, 256);
         let mut out = vec![0.0; 32];
-        m.load(&mut c, &addrs, &mut out);
+        m.load(&mut c, &addrs, &mut out, |_, _, _| {});
         assert_eq!(out, vals);
         assert_eq!(c.shared_read_requests, 2);
         assert_eq!(c.shared_read_bytes, 256);
@@ -311,7 +355,7 @@ mod tests {
         let mut c = Counters::default();
         let addrs: Vec<usize> = (0..16).map(|i| i * 32).collect();
         let vals = vec![1.0; 16];
-        m.store(&mut c, &addrs, &vals);
+        m.store(&mut c, &addrs, &vals, |_, _, _| {});
         assert_eq!(c.shared_write_requests, 1);
         assert_eq!(c.shared_write_conflicts, 15);
     }
@@ -329,18 +373,17 @@ mod tests {
 
     #[test]
     fn recycle_matches_fresh_allocation() {
-        let mut m = SharedMemory::new(64, 32);
+        let mut m = shared(64);
         let mut c = Counters::default();
-        m.store(&mut c, &[0, 1, 2], &[9.0, 8.0, 7.0]);
+        m.store(&mut c, &[0, 1, 2], &[9.0, 8.0, 7.0], |_, _, _| {});
         // Recycle into a *larger* shared memory: every word must read as
         // zero, exactly like a fresh allocation.
         let recycled = SharedMemory::recycle(m.into_data(), 128, 32);
-        let fresh = SharedMemory::new(128, 32);
-        assert_eq!(recycled.raw(), fresh.raw());
-        assert_eq!(recycled.len(), 128);
+        assert_eq!(recycled.raw(), shared(128).raw());
         // And into a smaller one.
         let small = SharedMemory::recycle(recycled.into_data(), 16, 32);
-        assert_eq!(small.raw(), SharedMemory::new(16, 32).raw());
+        assert_eq!(small.raw(), shared(16).raw());
+        assert!(small.raw().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -351,5 +394,31 @@ mod tests {
         let long: Vec<usize> = (0..32).map(|i| i * 16).collect();
         assert_eq!(m.phase_conflict_degree(&long), 32);
         assert_eq!(m.phase_conflict_degree(&long[..16]), 16);
+    }
+
+    #[test]
+    fn phase_stats_match_the_word_histogram() {
+        // Pseudo-random phases over a small address range (so repeats and
+        // collisions are common), for every power-of-two bank count the
+        // pair-counting path serves and one it does not.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for banks in [2, 4, 32, 64, 128] {
+            let m = SharedMemory::recycle(Vec::new(), 0, banks);
+            for _ in 0..500 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let lanes = 1 + (x >> 60) as usize;
+                let phase: Vec<usize> = (0..lanes)
+                    .map(|i| ((x >> (4 * i % 56)) % 80) as usize)
+                    .collect();
+                let stats = m.phase_stats(&phase);
+                assert_eq!(stats.degree, reference_degree(&phase, banks), "{phase:?}");
+                let mut distinct = phase.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(stats.distinct, distinct.len(), "{phase:?}");
+            }
+        }
     }
 }

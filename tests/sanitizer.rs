@@ -10,7 +10,8 @@
 //! conflicts the device ledger counts.
 
 use convstencil_repro::convstencil::{
-    ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, Exec2D, VariantConfig,
+    ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, Dim, Exec2D,
+    VariantConfig, D1, D2, D3,
 };
 use convstencil_repro::stencil_core::{Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D};
 use convstencil_repro::tcu_sim::ViolationKind;
@@ -131,24 +132,40 @@ fn unpadded_variant_iii_is_flagged_by_bankcheck() {
     assert_eq!(san.init_total + san.mem_total + san.race_total, 0);
 }
 
+/// Runs `grid` with the sanitizer off and on and asserts the shadow is
+/// observe-only: no report unless requested, equal `Counters` and
+/// `LaunchStats`, bit-identical outputs, and bankcheck's replay total
+/// equal to the ledger's load conflicts.
+fn assert_observe_only<D: Dim>(kernel: D::Kernel, grid: &D::Grid, steps: usize) {
+    for (name, variant) in VariantConfig::breakdown() {
+        let runner = ConvStencil::<D>::try_new(kernel.clone())
+            .unwrap()
+            .with_variant(variant);
+        let (out_plain, plain) = runner.try_run(grid, steps).unwrap();
+        assert!(plain.sanitizer.is_none(), "no report unless requested");
+        let (out_san, san) = runner.with_sanitizer(true).try_run(grid, steps).unwrap();
+        let case = format!("{}D variant {name}", D::N);
+        assert_eq!(plain.counters, san.counters, "{case}");
+        assert_eq!(plain.launch_stats, san.launch_stats, "{case}");
+        let bits =
+            |g: &D::Grid| -> Vec<u64> { D::interior(g).iter().map(|v| v.to_bits()).collect() };
+        assert!(bits(&out_plain) == bits(&out_san), "{case}: outputs differ");
+        let report = san.sanitizer.expect("sanitizer report requested");
+        assert_eq!(
+            report.bank_total, san.counters.shared_read_conflicts,
+            "{case}: bankcheck must agree with the device conflict ledger"
+        );
+    }
+}
+
 #[test]
 fn sanitizer_off_means_no_report_and_no_shadow_cost() {
-    let grid = grid2d(40, 64, 1);
-    let runner = ConvStencil2D::new(Kernel2D::box_uniform(1));
-    let (out_plain, report) = runner.try_run(&grid, 2).unwrap();
-    assert!(report.sanitizer.is_none(), "no report unless requested");
-    // Sanitizing is observe-only: identical results and ledger.
-    let (out_san, report_san) = runner
-        .clone()
-        .with_sanitizer(true)
-        .try_run(&grid, 2)
-        .unwrap();
-    assert_eq!(report.counters, report_san.counters);
-    for x in 0..grid.rows() {
-        for y in 0..grid.cols() {
-            assert_eq!(out_plain.get(x, y).to_bits(), out_san.get(x, y).to_bits());
-        }
-    }
+    let kernel = Kernel1D::new(vec![0.25, 0.5, 0.25]);
+    let line = Grid1D::from_fn(3000, 1, |i| (i % 31) as f64 * 0.5);
+    assert_observe_only::<D1>(kernel, &line, 2);
+    assert_observe_only::<D2>(Kernel2D::box_uniform(1), &grid2d(40, 64, 1), 2);
+    let vol = Grid3D::from_fn(6, 12, 40, 1, |x, y, z| ((x * 7 + y * 3 + z) % 53) as f64);
+    assert_observe_only::<D3>(Kernel3D::box_uniform(1), &vol, 2);
 }
 
 #[test]
