@@ -113,7 +113,9 @@ pub struct SanitizerReport {
     /// Total racecheck findings (not capped).
     pub race_total: u64,
     /// Total bankcheck findings: extra *load* replays, summed. Matches the
-    /// device ledger's `shared_read_conflicts` for the sanitized launches.
+    /// device ledger's `shared_read_conflicts` for the sanitized launches,
+    /// except for loads with out-of-bounds lanes: those are judged on the
+    /// addresses as issued, while the ledger charges them clamped.
     pub bank_total: u64,
     /// Extra load replays per phase (indexed by [`Phase::index`]).
     pub load_conflicts: [u64; PHASE_COUNT],
